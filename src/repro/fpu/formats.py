@@ -36,26 +36,23 @@ class FpOp(enum.Enum):
     @property
     def kind(self) -> str:
         """Operation family: add/sub/mul/div/i2f/f2i."""
-        return {
-            "FpOp.ADD": "add", "FpOp.SUB": "sub", "FpOp.MUL": "mul",
-            "FpOp.DIV": "div", "FpOp.I2F": "i2f", "FpOp.F2I": "f2i",
-        }[f"FpOp.{self.name.rsplit('_', 1)[0]}"]
+        return _KIND[self]
 
     @property
     def precision(self) -> str:
-        return "double" if self.name.endswith("_D") else "single"
+        return "double" if _IS_DOUBLE[self] else "single"
 
     @property
     def fmt(self) -> FloatFormat:
-        return DOUBLE if self.precision == "double" else SINGLE
+        return DOUBLE if _IS_DOUBLE[self] else SINGLE
 
     @property
     def is_double(self) -> bool:
-        return self.precision == "double"
+        return _IS_DOUBLE[self]
 
     @property
     def has_two_operands(self) -> bool:
-        return self.kind in ("add", "sub", "mul", "div")
+        return _TWO_OPERANDS[self]
 
     @property
     def latency_cycles(self) -> int:
@@ -64,9 +61,7 @@ class FpOp(enum.Enum):
         Matches the Fig. 3 structure: add/sub flow through the 6-stage
         pipeline, mul carries the array, div is long-latency iterative.
         """
-        return {
-            "add": 6, "sub": 6, "mul": 7, "div": 24, "i2f": 3, "f2i": 3,
-        }[self.kind]
+        return _LATENCY_CYCLES[self]
 
     @property
     def mnemonic(self) -> str:
@@ -74,6 +69,18 @@ class FpOp(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+# Per-member property tables, built once: the properties above run per
+# FP operation in the softfloat, the FP context and trace synthesis.
+_KIND = {op: op.name.rsplit("_", 1)[0].lower() for op in FpOp}
+_IS_DOUBLE = {op: op.name.endswith("_D") for op in FpOp}
+_TWO_OPERANDS = {op: _KIND[op] in ("add", "sub", "mul", "div") for op in FpOp}
+_LATENCY_CYCLES = {
+    op: {"add": 6, "sub": 6, "mul": 7, "div": 24, "i2f": 3, "f2i": 3}[
+        _KIND[op]]
+    for op in FpOp
+}
 
 
 #: Double-precision instructions (the error-prone set under VR15/VR20).

@@ -18,8 +18,10 @@ injection semantics.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -93,7 +95,13 @@ class OoOCore:
     def simulate(self, window: TraceWindow,
                  total_fp_instructions: Optional[int] = None,
                  ops_per_fp: Optional[float] = None) -> PipelineSchedule:
-        """Timing-simulate a trace window and extrapolate program totals."""
+        """Timing-simulate a trace window and extrapolate program totals.
+
+        One O(n) pass over the window's columns as Python lists.  Only
+        the previous instruction's fetch and commit times are live, plus
+        a ``rob_size`` ring of commit times for the ROB look-back; only
+        FP writebacks are kept.
+        """
         p = self.params
         n = len(window)
         if n == 0:
@@ -105,71 +113,91 @@ class OoOCore:
                 store_forward_rate=0.0,
             )
 
-        fetch = np.zeros(n, dtype=np.float64)
-        issue = np.zeros(n, dtype=np.float64)
-        writeback = np.zeros(n, dtype=np.float64)
-        commit = np.zeros(n, dtype=np.float64)
+        cls = window.cls.tolist()
+        src1 = window.src1.tolist()
+        src2 = window.src2.tolist()
+        dest = window.dest.tolist()
 
-        reg_ready = np.zeros(2 * NUM_REGS, dtype=np.float64)
+        FP = int(InstrClass.FP)
+        LOAD = int(InstrClass.LOAD)
+        STORE = int(InstrClass.STORE)
+        BRANCH = int(InstrClass.BRANCH)
+        step = 1.0 / p.fetch_width
+        rob = p.rob_size
+        penalty = p.mispredict_penalty
+        div_blocking = p.fp_div_blocking
+
+        reg_ready = [0.0] * (2 * NUM_REGS)
         # Rotating FU free times per pool.
         int_free = [0.0] * p.int_units
         mem_free = [0.0] * p.mem_units
         fp_free = [0.0] * p.fp_units
+        # commit_ring[i % rob] holds commit[i - rob] until instruction i
+        # overwrites it; its zero start never binds since fetch >= 0.
+        commit_ring = [0.0] * rob
+        slot_rob = 0
+        fp_writeback: List[float] = []
+        fetch = -step  # the first instruction fetches at cycle 0
+        commit = 0.0
         redirect_at = 0.0
         wrong_path_cycles = 0.0
 
-        cls = window.cls
-        lat = window.latency
-        for i in range(n):
-            c = cls[i]
+        for c, lat, d, s1, s2, mispredicted in zip(
+                cls, window.latency.tolist(), dest, src1, src2,
+                window.mispredicted.tolist()):
             # Fetch: width, ROB occupancy, and any pending redirect.
-            f = fetch[i - 1] + (1.0 / p.fetch_width) if i else 0.0
-            if i >= p.rob_size:
-                f = max(f, commit[i - p.rob_size])
-            f = max(f, redirect_at)
-            fetch[i] = f
+            fetch += step
+            if commit_ring[slot_rob] > fetch:
+                fetch = commit_ring[slot_rob]
+            if redirect_at > fetch:
+                fetch = redirect_at
 
-            # Register read-after-write dependencies (FP bank offset).
-            bank = NUM_REGS if c == int(InstrClass.FP) else 0
-            ready = f + 1.0  # decode/rename
-            s1, s2 = window.src1[i], window.src2[i]
-            if s1 >= 0:
-                ready = max(ready, reg_ready[bank + s1])
-            if s2 >= 0:
-                ready = max(ready, reg_ready[bank + s2])
-
-            # Structural hazard on the right FU pool.
-            if c == int(InstrClass.FP):
+            # Register read-after-write dependencies (FP bank offset),
+            # then the structural hazard on the right FU pool.
+            if c == FP:
+                bank = NUM_REGS
                 pool = fp_free
-            elif c in (int(InstrClass.LOAD), int(InstrClass.STORE)):
-                pool = mem_free
             else:
-                pool = int_free
-            slot = min(range(len(pool)), key=lambda k: pool[k])
-            start = max(ready, pool[slot])
-            issue[i] = start
-            done = start + float(lat[i])
-            blocking = (p.fp_div_blocking and c == int(InstrClass.FP)
-                        and lat[i] >= 20)
-            pool[slot] = done if blocking else start + 1.0
-            writeback[i] = done
+                bank = 0
+                pool = mem_free if c == LOAD or c == STORE else int_free
+            ready = fetch + 1.0  # decode/rename
+            if s1 >= 0 and reg_ready[bank + s1] > ready:
+                ready = reg_ready[bank + s1]
+            if s2 >= 0 and reg_ready[bank + s2] > ready:
+                ready = reg_ready[bank + s2]
 
-            d = window.dest[i]
+            free = min(pool)
+            slot = pool.index(free)
+            start = free if free > ready else ready
+            done = start + lat
+            if div_blocking and c == FP and lat >= 20:
+                pool[slot] = done
+            else:
+                pool[slot] = start + 1.0
+            if c == FP:
+                fp_writeback.append(done)
+
             if d >= 0:
                 reg_ready[bank + d] = done
 
-            commit[i] = max(done, commit[i - 1] if i else 0.0)
+            if done > commit:
+                commit = done
+            commit_ring[slot_rob] = commit
+            slot_rob += 1
+            if slot_rob == rob:
+                slot_rob = 0
 
-            if c == int(InstrClass.BRANCH) and window.mispredicted[i]:
-                resolve = done + p.mispredict_penalty
-                wrong_path_cycles += max(0.0, resolve - fetch[i])
+            if mispredicted and c == BRANCH:
+                resolve = done + penalty
+                if resolve - fetch > 0.0:
+                    wrong_path_cycles += resolve - fetch
                 redirect_at = resolve
 
-        window_cycles = int(np.ceil(commit[-1]))
+        window_cycles = math.ceil(commit)
         cpi = window_cycles / n
 
-        fp_mask = cls == int(InstrClass.FP)
-        fp_wb = writeback[fp_mask].astype(np.int64)
+        fp_mask = window.cls == FP
+        fp_wb = np.array(fp_writeback, dtype=np.float64).astype(np.int64)
         fp_idx = window.fp_index[fp_mask]
 
         # Wrong-path FP estimate: during redirect windows the front-end
@@ -179,8 +207,8 @@ class OoOCore:
         wrong_fp = wrong_path_cycles * p.fetch_width * fp_density
         wrong_frac = wrong_fp / max(1.0, wrong_fp + fp_mask.sum())
 
-        dead_frac = _dead_write_fraction(window)
-        fwd_rate = _store_forward_rate(window)
+        dead_frac = _dead_write_fraction(cls, src1, src2, dest)
+        fwd_rate = _store_forward_rate(cls, src1, src2)
 
         total_fp = total_fp_instructions or int(fp_mask.sum())
         opf = ops_per_fp if ops_per_fp is not None else (
@@ -203,49 +231,47 @@ class OoOCore:
         )
 
 
-def _dead_write_fraction(window: TraceWindow) -> float:
+def _dead_write_fraction(cls: List[int], src1: List[int], src2: List[int],
+                         dest: List[int]) -> float:
     """Fraction of FP register writes overwritten before any read."""
-    cls = window.cls
     fp = int(InstrClass.FP)
-    last_write: Dict[int, int] = {}
+    # Written FP registers -> read since their last write.
     read_since: Dict[int, bool] = {}
     dead = 0
     total = 0
-    for i in range(len(window)):
-        if cls[i] != fp:
+    for c, s1, s2, d in zip(cls, src1, src2, dest):
+        if c != fp:
             continue
-        s1, s2, d = window.src1[i], window.src2[i], window.dest[i]
-        for s in (s1, s2):
-            if s >= 0 and s in last_write:
-                read_since[s] = True
+        if s1 >= 0 and s1 in read_since:
+            read_since[s1] = True
+        if s2 >= 0 and s2 in read_since:
+            read_since[s2] = True
         if d >= 0:
             total += 1
-            if d in last_write and not read_since.get(d, False):
+            if read_since.get(d) is False:
                 dead += 1
-            last_write[d] = i
             read_since[d] = False
     return dead / total if total else 0.0
 
 
-def _store_forward_rate(window: TraceWindow) -> float:
+def _store_forward_rate(cls: List[int], src1: List[int],
+                        src2: List[int]) -> float:
     """Fraction of loads serviced by an in-flight earlier store.
 
     Uses register-id coincidence as the (synthetic) address proxy: a load
     whose address register matches a store's within the last ROB-ish
     window forwards.
     """
-    recent_stores: List[int] = []
+    load, store = int(InstrClass.LOAD), int(InstrClass.STORE)
+    recent_stores: Deque[int] = deque(maxlen=16)
     forwards = 0
     loads = 0
-    for i in range(len(window)):
-        c = window.cls[i]
-        if c == int(InstrClass.STORE):
-            recent_stores.append(int(window.src2[i]))
-            if len(recent_stores) > 16:
-                recent_stores.pop(0)
-        elif c == int(InstrClass.LOAD):
+    for c, s1, s2 in zip(cls, src1, src2):
+        if c == store:
+            recent_stores.append(s2)
+        elif c == load:
             loads += 1
-            if int(window.src1[i]) in recent_stores:
+            if s1 in recent_stores:
                 forwards += 1
     return forwards / loads if loads else 0.0
 

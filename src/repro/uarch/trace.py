@@ -12,8 +12,10 @@ deterministic :class:`TraceWindow` arrays the OoO core model consumes.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -105,9 +107,17 @@ def synthesize_trace(workload: str,
     types the workload executes; at most ``max_window`` total instructions
     are materialised (SimPoint-style window — the core model extrapolates
     CPI beyond it).
+
+    The window is a pure function of the generator's draws, so the order
+    and sizes of the ``random``/``integers`` calls below are a
+    compatibility contract: changing either changes every golden
+    schedule built from it.  The loop makes only those calls; the
+    columns are assembled from the draws afterwards.
     """
     mix = mix or MIXES.get(workload, MIXES["default"])
-    rng = RngStream(seed, f"trace/{workload}")
+    generator = RngStream(seed, f"trace/{workload}").generator
+    random = generator.random
+    integers = generator.integers
 
     filler_per_fp = mix.ops_per_fp
     n_fp_window = max(1, min(
@@ -115,76 +125,93 @@ def synthesize_trace(workload: str,
         int(max_window / (1.0 + filler_per_fp)),
     )) if fp_ops else 0
 
-    cls: List[int] = []
-    latency: List[int] = []
-    dest: List[int] = []
-    src1: List[int] = []
-    src2: List[int] = []
-    fp_index: List[int] = []
-    mispred: List[bool] = []
+    load_below = mix.load_fraction
+    store_below = mix.load_fraction + mix.store_fraction
+    branch_below = store_below + mix.branch_fraction
+    # A draw is a branch when it is neither a load nor a store.
+    branch_from = max(load_below, store_below)
+    mispredict = mix.branch_mispredict
 
-    def emit(c: InstrClass, lat: int, d: int, s1: int, s2: int,
-             fpi: int = -1, mp: bool = False) -> None:
-        cls.append(int(c))
-        latency.append(lat)
-        dest.append(d)
-        src1.append(s1)
-        src2.append(s2)
-        fp_index.append(fpi)
-        mispred.append(mp)
+    # Filler instructions preceding each FP instruction: their class
+    # draws and (dest, src1, src2) register draws, in program order,
+    # packed as doubles and bytes (register ids < NUM_REGS <= 256).
+    n_fillers: List[int] = []
+    filler_draws = array("d")
+    filler_regs = bytearray()
+    branch_mispredicted: List[bool] = []
+    fp_dest: List[int] = []
+    fp_src1: List[int] = []
+    fp_src2: List[int] = []
 
     carry = 0.0
-    recent_fp: List[int] = []
+    recent_fp: Deque[int] = deque(maxlen=6)
     for i in range(n_fp_window):
         carry += filler_per_fp
         n_filler = int(carry)
         carry -= n_filler
-        draws = rng.random(size=max(1, n_filler))
-        regs = rng.integers(0, NUM_REGS, size=3 * max(1, n_filler))
-        for j in range(n_filler):
-            r = draws[j]
-            d, s1, s2 = (int(regs[3 * j]), int(regs[3 * j + 1]),
-                         int(regs[3 * j + 2]))
-            if r < mix.load_fraction:
-                emit(InstrClass.LOAD, CLASS_LATENCY[InstrClass.LOAD], d, s1, -1)
-            elif r < mix.load_fraction + mix.store_fraction:
-                emit(InstrClass.STORE, CLASS_LATENCY[InstrClass.STORE],
-                     -1, s1, s2)
-            elif r < (mix.load_fraction + mix.store_fraction
-                      + mix.branch_fraction):
-                mp = bool(rng.random() < mix.branch_mispredict)
-                emit(InstrClass.BRANCH, CLASS_LATENCY[InstrClass.BRANCH],
-                     -1, s1, s2, mp=mp)
-            else:
-                emit(InstrClass.INT_ALU, CLASS_LATENCY[InstrClass.INT_ALU],
-                     d, s1, s2)
-        op = fp_ops[i]
+        draws = random(size=max(1, n_filler)).tolist()
+        regs = integers(0, NUM_REGS, size=3 * max(1, n_filler)).tolist()
+        n_fillers.append(n_filler)
+        if n_filler:
+            filler_draws.extend(draws)
+            filler_regs.extend(regs)
+            for r in draws:
+                if branch_from <= r < branch_below:
+                    branch_mispredicted.append(random() < mispredict)
         # Realistic producer-consumer register allocation: destinations
         # rotate through a working set and sources usually read recent
         # producers (compilers keep FP lifetimes short but *used*); a
         # small fraction of results is genuinely dead (speculative
         # hoisting, unused lanes).
-        dest_reg = int(2 + (i % (NUM_REGS - 2)))
-        if rng.random() < 0.9 and recent_fp:
-            s1_reg = recent_fp[int(rng.integers(0, len(recent_fp)))]
+        dest_reg = 2 + i % (NUM_REGS - 2)
+        if random() < 0.9 and recent_fp:
+            fp_src1.append(recent_fp[int(integers(0, len(recent_fp)))])
         else:
-            s1_reg = int(rng.integers(0, NUM_REGS))
-        if rng.random() < 0.6 and recent_fp:
-            s2_reg = recent_fp[int(rng.integers(0, len(recent_fp)))]
+            fp_src1.append(int(integers(0, NUM_REGS)))
+        if random() < 0.6 and recent_fp:
+            fp_src2.append(recent_fp[int(integers(0, len(recent_fp)))])
         else:
-            s2_reg = int(rng.integers(0, NUM_REGS))
-        emit(InstrClass.FP, op.latency_cycles, dest_reg, s1_reg, s2_reg,
-             fpi=i)
+            fp_src2.append(int(integers(0, NUM_REGS)))
+        fp_dest.append(dest_reg)
         recent_fp.append(dest_reg)
-        if len(recent_fp) > 6:
-            recent_fp.pop(0)
+
+    draws = np.frombuffer(filler_draws, dtype=np.float64)
+    regs = np.frombuffer(filler_regs, dtype=np.uint8).reshape(-1, 3)
+    regs = regs.astype(np.int16)  # room for the -1 "no register"
+    kinds = [draws < load_below, draws < store_below, draws < branch_below]
+    filler_cls = np.select(kinds, [int(InstrClass.LOAD),
+                                   int(InstrClass.STORE),
+                                   int(InstrClass.BRANCH)],
+                           int(InstrClass.INT_ALU))
+    filler_latency = np.select(kinds, [CLASS_LATENCY[InstrClass.LOAD],
+                                       CLASS_LATENCY[InstrClass.STORE],
+                                       CLASS_LATENCY[InstrClass.BRANCH]],
+                               CLASS_LATENCY[InstrClass.INT_ALU])
+    is_load = filler_cls == int(InstrClass.LOAD)
+    is_branch = filler_cls == int(InstrClass.BRANCH)
+    writes = is_load | (filler_cls == int(InstrClass.INT_ALU))
+    filler_mispredicted = np.zeros(draws.size, dtype=bool)
+    filler_mispredicted[is_branch] = branch_mispredicted
+
+    # FP instruction i follows its own fillers and all earlier ones.
+    fp_at = np.cumsum(n_fillers, dtype=np.int64) + np.arange(n_fp_window)
+    is_fp = np.zeros(draws.size + n_fp_window, dtype=bool)
+    is_fp[fp_at] = True
+
+    def column(filler, fp, dtype) -> np.ndarray:
+        out = np.empty(is_fp.size, dtype=dtype)
+        out[~is_fp] = filler
+        out[is_fp] = fp
+        return out
 
     return TraceWindow(
-        cls=np.asarray(cls, dtype=np.int8),
-        latency=np.asarray(latency, dtype=np.int16),
-        dest=np.asarray(dest, dtype=np.int16),
-        src1=np.asarray(src1, dtype=np.int16),
-        src2=np.asarray(src2, dtype=np.int16),
-        fp_index=np.asarray(fp_index, dtype=np.int64),
-        mispredicted=np.asarray(mispred, dtype=bool),
+        cls=column(filler_cls, int(InstrClass.FP), np.int8),
+        latency=column(filler_latency,
+                       [op.latency_cycles for op in fp_ops[:n_fp_window]],
+                       np.int16),
+        dest=column(np.where(writes, regs[:, 0], -1), fp_dest, np.int16),
+        src1=column(regs[:, 1], fp_src1, np.int16),
+        src2=column(np.where(is_load, -1, regs[:, 2]), fp_src2, np.int16),
+        fp_index=column(-1, np.arange(n_fp_window), np.int64),
+        mispredicted=column(filler_mispredicted, False, bool),
     )

@@ -13,7 +13,12 @@ from repro.fpu.formats import (
     op_by_mnemonic,
 )
 from repro.fpu.unit import FPU
-from repro.utils.ieee754 import float_to_bits64, floats_to_bits64
+from repro.utils.ieee754 import (
+    DOUBLE,
+    SINGLE,
+    float_to_bits64,
+    floats_to_bits64,
+)
 
 
 class TestFormats:
@@ -37,6 +42,30 @@ class TestFormats:
     def test_latency_classes(self):
         assert FpOp.DIV_D.latency_cycles > FpOp.MUL_D.latency_cycles
         assert FpOp.MUL_D.latency_cycles > FpOp.I2F_D.latency_cycles
+
+    #: (kind, precision, fmt width, is_double, has_two_operands,
+    #: latency_cycles) for every instruction.
+    PROPERTIES = {
+        FpOp.ADD_D: ("add", "double", 64, True, True, 6),
+        FpOp.SUB_D: ("sub", "double", 64, True, True, 6),
+        FpOp.MUL_D: ("mul", "double", 64, True, True, 7),
+        FpOp.DIV_D: ("div", "double", 64, True, True, 24),
+        FpOp.I2F_D: ("i2f", "double", 64, True, False, 3),
+        FpOp.F2I_D: ("f2i", "double", 64, True, False, 3),
+        FpOp.ADD_S: ("add", "single", 32, False, True, 6),
+        FpOp.SUB_S: ("sub", "single", 32, False, True, 6),
+        FpOp.MUL_S: ("mul", "single", 32, False, True, 7),
+        FpOp.DIV_S: ("div", "single", 32, False, True, 24),
+        FpOp.I2F_S: ("i2f", "single", 32, False, False, 3),
+        FpOp.F2I_S: ("f2i", "single", 32, False, False, 3),
+    }
+
+    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
+    def test_properties_pinned(self, op):
+        assert (op.kind, op.precision, op.fmt.width, op.is_double,
+                op.has_two_operands, op.latency_cycles) == \
+            self.PROPERTIES[op]
+        assert op.fmt is (DOUBLE if op.is_double else SINGLE)
 
     def test_mnemonic_lookup(self):
         for op in ALL_OPS:
