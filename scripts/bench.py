@@ -26,11 +26,12 @@ Times the paper's two phases with telemetry enabled:
    fast-forward engine on — same seeds, same cells, bit-identical
    outcomes — measuring the snapshot restore + suffix-replay speedup,
 9. *campaign_observed*: the identical campaign with the full live
-   observability stack attached — metrics registry + status board +
-   CI-trajectory recorder behind a MonitorMux, the HTTP control plane
-   serving /metrics, /status and /trajectory on an ephemeral port, and
-   a campaign trace context stamping spans — measuring the cost of
-   watching a campaign (gated within a few percent in bench_check),
+   observability stack attached — the campaign state with its
+   CI-trajectory view in the executor's monitor slot, the HTTP control
+   plane serving /metrics, /status and /trajectory on an ephemeral
+   port, and a campaign trace context stamping spans — measuring the
+   cost of watching a campaign (gated within a few percent in
+   bench_check),
 10. *campaign_adaptive*: the identical cells under the sequential
     CI-target stopping rule — each cell halts at the first predeclared
     look whose anytime-valid interval is tight enough, so the phase
@@ -102,8 +103,8 @@ from repro.workloads import make_workload                # noqa: E402
 #: same vector stream through the event-driven reference and the
 #: bit-parallel engine) and the backend block (speedup + verdict
 #: equality).  v6 adds the campaign_observed phase (the same campaign
-#: with the metrics registry, status board, trajectory recorder and
-#: HTTP control plane attached) and the observability block (overhead
+#: with the live observability stack and HTTP control plane attached)
+#: and the observability block (overhead
 #: fraction vs the unobserved campaign, scrape liveness, trajectory
 #: point count).  v7 adds the campaign_adaptive phase (the same cells
 #: under the sequential CI-target stopping rule) and the adaptive block
@@ -366,30 +367,23 @@ def bench_pipeline(args) -> dict:
     )
 
     # The identical (full-replay) campaign with the live observability
-    # stack attached: metrics registry + status board + CI-trajectory
-    # recorder multiplexed into the executor's monitor slot, the HTTP
-    # control plane serving /metrics, /status and /trajectory on an
-    # ephemeral port, and a campaign trace context stamping spans.
-    # Same seeds, same cells — the wall ratio to the plain campaign
-    # phase is the pure cost of watching, gated in bench_check.
+    # stack attached: one campaign state in the executor's monitor slot
+    # with the CI-trajectory view, the HTTP control plane serving
+    # /metrics, /status and /trajectory on an ephemeral port, and a
+    # campaign trace context stamping spans.  Same seeds, same cells —
+    # the wall ratio to the plain campaign phase is the pure cost of
+    # watching, gated in bench_check.
     from urllib.request import urlopen
 
-    from repro.observe import MonitorMux, TrajectoryRecorder
-    from repro.observe.httpd import (
-        CampaignMetrics,
-        ControlPlane,
-        StatusBoard,
-    )
-    from repro.telemetry.metrics import MetricsRegistry
+    from repro.observe import CampaignState, TrajectoryRecorder
+    from repro.observe.httpd import ControlPlane
 
-    registry = MetricsRegistry()
-    board = StatusBoard()
-    board.begin_campaign("bench", args.seed,
-                         cells_total=len(args.benchmarks) * len(points))
     trajectory = TrajectoryRecorder()
-    mux = MonitorMux(CampaignMetrics(registry), board, trajectory)
+    state = CampaignState("bench", args.seed,
+                          cells_total=len(args.benchmarks) * len(points),
+                          views=[trajectory])
     scrape_ok = False
-    with ControlPlane(registry, board, trajectory, port=0) as plane:
+    with ControlPlane(state, trajectory.points, port=0) as plane:
         telemetry.set_trace_context(
             telemetry.TraceContext(campaign_id=f"bench-s{args.seed}"))
         try:
@@ -404,7 +398,7 @@ def bench_pipeline(args) -> dict:
                 start = time.perf_counter()
                 config = ExecutorConfig(workers=args.workers)
                 with CampaignExecutor(runner, config=config,
-                                      monitor=mux) as executor:
+                                      monitor=state) as executor:
                     for point in points:
                         executor.run_cell(models[name], point,
                                           runs=args.runs)
@@ -519,7 +513,7 @@ def bench_pipeline(args) -> dict:
                      if campaign_wall > 0 else None),
         "scrape_ok": scrape_ok,
         "trajectory_points": len(trajectory.points),
-        "runs_observed": int(board.snapshot()["runs_done"]),
+        "runs_observed": state.snapshot().runs_done,
     }
 
     ff_wall = phases["campaign_fastforward"]["wall_s"]

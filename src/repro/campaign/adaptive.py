@@ -46,8 +46,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.liberty import OperatingPoint
 from repro.errors.base import ErrorModel, InjectionPlan, WorkloadProfile
-from repro.observe.stats import wilson_ci
 from repro.utils.rng import RngStream
+from repro.utils.stats import wilson_interval
 
 __all__ = [
     "RULE_BUDGET",
@@ -140,7 +140,7 @@ def anytime_wilson_ci(successes: int, trials: int,
     """
     looks = max(1, int(looks))
     alpha = 1.0 - confidence
-    return wilson_ci(successes, trials, 1.0 - alpha / looks)
+    return wilson_interval(successes, trials, 1.0 - alpha / looks)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,12 @@ from repro.uarch.injector import MicroArchInjector
 from repro.utils.stats import confidence_sample_size
 from repro import telemetry
 from repro.observe import flight
+from repro.observe.state import (
+    CellBegun,
+    CellEnded,
+    RunClassified,
+    StopDecided,
+)
 
 #: Upper bound on how long the pool coordinator blocks waiting for
 #: worker pipes.  A SIGKILLed worker normally surfaces as pipe EOF, but
@@ -324,7 +330,12 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
 
 
 class CampaignExecutor:
-    """Runs campaign cells for one benchmark, fault-tolerantly."""
+    """Runs campaign cells for one benchmark, fault-tolerantly.
+
+    An optional ``monitor`` (a :class:`~repro.observe.state.CampaignState`
+    or anything with ``apply(event)`` and ``close()``) receives each
+    cell's events and is closed with the executor.
+    """
 
     def __init__(self, runner: CampaignRunner,
                  config: Optional[ExecutorConfig] = None,
@@ -416,8 +427,11 @@ class CampaignExecutor:
         stats.resumed = len(records)
 
         if self.monitor is not None:
-            self.monitor.begin_cell(workload, model.name, point.name,
-                                    runs, resumed=stats.resumed)
+            resumed: Dict[str, int] = {}
+            for record in records.values():
+                resumed[record.outcome] = resumed.get(record.outcome, 0) + 1
+            self.monitor.apply(CellBegun(workload, model.name, point.name,
+                                         runs, resumed=resumed))
 
         if adaptive is not None:
             stats.adaptive = True
@@ -448,9 +462,8 @@ class CampaignExecutor:
                 if self.journal is not None:
                     self.journal.record_stop(workload, model.name,
                                              point.name, stream.decision)
-                on_stop = getattr(self.monitor, "on_stop", None)
-                if on_stop is not None:
-                    on_stop(stream.decision)
+                if self.monitor is not None:
+                    self.monitor.apply(StopDecided(stream.decision))
         else:
             counted = sorted(records)
             stats.failed = runs - len(records)
@@ -502,7 +515,7 @@ class CampaignExecutor:
         if recorder is not None:
             recorder.flush()
         if self.monitor is not None:
-            self.monitor.end_cell(result)
+            self.monitor.apply(CellEnded(result))
         return result
 
     @staticmethod
@@ -530,7 +543,7 @@ class CampaignExecutor:
                             retries=record.retries)
         self._journal_run(record)
         if self.monitor is not None:
-            self.monitor.on_run(record, stats)
+            self.monitor.apply(RunClassified(record, stats))
 
     def _flight_truncated(self, model: ErrorModel, point: OperatingPoint,
                           record: RunRecord) -> None:

@@ -155,6 +155,12 @@ class RunRecord:
     #: to uniform placement; 1.0 for every uniformly-sampling model.
     weight: float = 1.0
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RunRecord":
+        """The record of a journal ``run`` line (extra keys ignored)."""
+        return cls(**{k: payload[k] for k in cls.__dataclass_fields__
+                      if k in payload})
+
     @property
     def key(self) -> str:
         return run_key(self.workload, self.model, self.point,
@@ -327,14 +333,7 @@ class RunJournal:
                         f"{payload.get('seed')}, not {self.seed}"
                     )
             elif kind == "run":
-                record = RunRecord(**{
-                    k: payload[k] for k in (
-                        "workload", "model", "point", "run_index",
-                        "outcome", "injected", "uarch_masked",
-                        "watchdog", "unexpected", "wall_ms", "retries",
-                        "weight",
-                    ) if k in payload
-                })
+                record = RunRecord.from_payload(payload)
                 self._runs.setdefault(record.cell, {})[
                     record.run_index
                 ] = record

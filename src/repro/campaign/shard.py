@@ -62,6 +62,7 @@ from repro.campaign.journal import _crc_ok, _parse_lines, _payload_crc
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import OperatingPoint
 from repro.errors import store as model_store
+from repro.observe.state import CellBegun, RunClassified, ShardStatus
 from repro.utils import durable
 from repro.workloads import make_workload
 
@@ -463,23 +464,17 @@ class _HeartbeatMonitor:
         self.worker_id = worker_id
         self.runs = 0
 
-    def begin_cell(self, workload, model, point, runs, resumed=0):
-        self.runs = resumed
-        self.queue.heartbeat(self.item_id, self.worker_id,
-                             {"runs": self.runs, "of": runs})
+    def apply(self, event) -> None:
+        if isinstance(event, RunClassified):
+            self.runs += 1
+            self.queue.heartbeat(self.item_id, self.worker_id,
+                                 {"runs": self.runs})
+        elif isinstance(event, CellBegun):
+            self.runs = sum(event.resumed.values())
+            self.queue.heartbeat(self.item_id, self.worker_id,
+                                 {"runs": self.runs, "of": event.runs})
 
-    def on_run(self, record, stats=None):
-        self.runs += 1
-        self.queue.heartbeat(self.item_id, self.worker_id,
-                             {"runs": self.runs})
-
-    def on_stop(self, decision):
-        pass
-
-    def end_cell(self, result):
-        pass
-
-    def close(self):
+    def close(self) -> None:
         pass
 
 
@@ -491,7 +486,7 @@ def run_worker(store: Union[ArtifactStore, PathLike], campaign_id: str,
                worker_id: Optional[str] = None,
                shard: Optional[int] = None, steal: bool = True,
                wait: bool = True, poll_interval: float = 0.1,
-               monitor=None, max_items: Optional[int] = None) -> dict:
+               max_items: Optional[int] = None) -> dict:
     """Drain campaign work items through a local executor.
 
     The worker loop: claim → execute the cell through
@@ -556,13 +551,8 @@ def run_worker(store: Union[ArtifactStore, PathLike], campaign_id: str,
             fsync=spec.executor.get("fsync", "group"),
         )
         hb = _HeartbeatMonitor(queue, item["id"], worker_id)
-        cell_monitor = hb
-        if monitor is not None:
-            from repro.observe.monitor import MonitorMux
-
-            cell_monitor = MonitorMux(hb, monitor)
         with CampaignExecutor(runner, config=config,
-                              monitor=cell_monitor) as executor:
+                              monitor=hb) as executor:
             result = executor.run_cell(model, point, runs=spec.runs,
                                        adaptive=adaptive)
         queue.complete(item["id"], worker_id, summary={
@@ -752,15 +742,15 @@ class ShardCoordinator:
     def run_processes(self, max_restarts: int = 3,
                       poll_interval: float = 0.2,
                       env: Optional[dict] = None,
-                      status_board=None,
+                      state=None,
                       stderr=None) -> dict:
         """Run one OS-process worker per shard, restarting dead ones.
 
         A worker that exits while undone work remains (crash, SIGKILL,
         chaos) is respawned up to ``max_restarts`` times per shard; its
         leases go stale and are stolen or resumed either way.  Feeds
-        ``status_board`` (a :class:`~repro.observe.httpd.StatusBoard`)
-        with aggregate shard state on every poll.
+        ``state`` (a :class:`~repro.observe.state.CampaignState`) a
+        :class:`~repro.observe.state.ShardStatus` on every poll.
         """
         procs: Dict[int, subprocess.Popen] = {}
         restarts = {shard: 0 for shard in range(self.spec.shards)}
@@ -784,8 +774,8 @@ class ShardCoordinator:
                             f"(last exit {code})")
                     restarts[shard] += 1
                     _spawn(shard)
-                if status_board is not None:
-                    status_board.update_shards(self.status())
+                if state is not None:
+                    state.apply(ShardStatus(self.status()))
                 time.sleep(poll_interval)
         finally:
             for proc in procs.values():
@@ -797,8 +787,8 @@ class ShardCoordinator:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     proc.kill()
                     proc.wait()
-        if status_board is not None:
-            status_board.update_shards(self.status())
+        if state is not None:
+            state.apply(ShardStatus(self.status()))
         return {"restarts": dict(restarts)}
 
     # -- merge + status ----------------------------------------------------------

@@ -208,22 +208,19 @@ def _cmd_campaign_sharded(args) -> int:
     )
     coordinator = ShardCoordinator.create(artifact_store, spec, [model])
 
-    status_board = None
+    state = None
     control_plane = None
     if args.serve:
-        from repro.observe.httpd import ControlPlane, StatusBoard
-        from repro.telemetry import metrics as metrics_registry
+        from repro.observe.httpd import ControlPlane
+        from repro.observe.state import CampaignState, ShardStatus
 
-        registry = metrics_registry.enable()
-        status_board = StatusBoard()
-        status_board.begin_campaign(
+        state = CampaignState(
             args.benchmark, args.seed,
             cells_total=len(points) * len(spec.models),
             extra={"scale": args.scale, "runs_per_cell": args.runs,
                    "shards": args.shards})
-        status_board.update_shards(coordinator.status())
-        control_plane = ControlPlane(registry, status_board, None,
-                                     port=args.metrics_port)
+        state.apply(ShardStatus(coordinator.status()))
+        control_plane = ControlPlane(state, port=args.metrics_port)
         bound = control_plane.start()
         print(f"control plane: http://127.0.0.1:{bound} "
               f"(/metrics /status)", file=sys.stderr)
@@ -234,8 +231,7 @@ def _cmd_campaign_sharded(args) -> int:
 
     try:
         if args.shard_procs:
-            supervision = coordinator.run_processes(
-                status_board=status_board)
+            supervision = coordinator.run_processes(state=state)
             restarts = sum(supervision["restarts"].values())
         else:
             restarts = 0
@@ -243,9 +239,9 @@ def _cmd_campaign_sharded(args) -> int:
                 print(f"shard worker {summary['worker']}: "
                       f"{summary['items']} cell(s), "
                       f"{summary['runs']} run(s)", file=sys.stderr)
-        if status_board is not None:
-            status_board.update_shards(coordinator.status())
-            status_board.close()
+        if state is not None:
+            state.apply(ShardStatus(coordinator.status()))
+            state.close()
 
         if args.journal:
             _check_parent_dir(args.journal, "--journal")
@@ -352,30 +348,31 @@ def _cmd_campaign(args) -> int:
         flight.enable(sink, keep_in_memory=False)
     if args.trajectory:
         _check_parent_dir(args.trajectory, "--trajectory")
-    trajectory_recorder = None
-    if args.trajectory or args.serve:
-        from repro.observe import TrajectoryRecorder
-
-        # Path-less recorders still collect in memory for /trajectory.
-        trajectory_recorder = TrajectoryRecorder(path=args.trajectory)
+    state = None
     control_plane = None
-    if args.serve:
-        from repro.observe.httpd import (
-            CampaignMetrics,
-            ControlPlane,
-            StatusBoard,
+    if args.monitor or args.trajectory or args.serve:
+        from repro.observe import (
+            CampaignMonitor,
+            CampaignState,
+            TrajectoryRecorder,
         )
-        from repro.telemetry import metrics as metrics_registry
 
-        registry = metrics_registry.enable()
-        metrics_adapter = CampaignMetrics(registry)
-        status_board = StatusBoard()
-        status_board.begin_campaign(
+        views = []
+        if args.monitor:
+            views.append(CampaignMonitor(total_cells=len(args.vr)))
+        if args.trajectory or args.serve:
+            # Path-less recorders still collect in memory for /trajectory.
+            trajectory = TrajectoryRecorder(path=args.trajectory)
+            views.append(trajectory)
+        state = CampaignState(
             args.benchmark, args.seed, cells_total=len(args.vr),
             extra={"scale": args.scale, "runs_per_cell": args.runs,
-                   "workers": args.workers})
-        control_plane = ControlPlane(registry, status_board,
-                                     trajectory_recorder,
+                   "workers": args.workers},
+            views=views)
+    if args.serve:
+        from repro.observe.httpd import ControlPlane
+
+        control_plane = ControlPlane(state, trajectory.points,
                                      port=args.metrics_port)
         bound = control_plane.start()
         print(f"control plane: http://127.0.0.1:{bound} "
@@ -384,22 +381,6 @@ def _cmd_campaign(args) -> int:
             _check_parent_dir(args.port_file, "--port-file")
             Path(args.port_file).write_text(f"{bound}\n",
                                             encoding="utf-8")
-    terminal_monitor = None
-    if args.monitor:
-        from repro.observe import CampaignMonitor
-
-        terminal_monitor = CampaignMonitor(total_cells=len(args.vr))
-    monitor = None
-    if (terminal_monitor is not None or control_plane is not None
-            or trajectory_recorder is not None):
-        from repro.observe import MonitorMux
-
-        monitor = MonitorMux(
-            terminal_monitor,
-            metrics_adapter if control_plane is not None else None,
-            status_board if control_plane is not None else None,
-            trajectory_recorder,
-        )
     points = _points_for(args.vr)
     workload = make_workload(args.benchmark, scale=args.scale,
                              seed=args.seed)
@@ -439,7 +420,7 @@ def _cmd_campaign(args) -> int:
             fsync=args.fsync,
         )
         with CampaignExecutor(runner, config=config,
-                              monitor=monitor) as executor:
+                              monitor=state) as executor:
             journal = executor.journal
             results = [executor.run_cell(model, point, runs=args.runs,
                                          adaptive=adaptive_config)
@@ -452,8 +433,6 @@ def _cmd_campaign(args) -> int:
         if sink is not None:
             telemetry.clear_trace_context()
             sink.close(telemetry.get_collector())
-        if trajectory_recorder is not None:
-            trajectory_recorder.close()
         if chaos_injector is not None:
             chaos.uninstall()
     print(outcome_table(results))
@@ -521,8 +500,6 @@ def _cmd_campaign(args) -> int:
         print(summary_table(telemetry.snapshot()))
         telemetry.disable()
     if control_plane is not None:
-        from repro.telemetry import metrics as metrics_registry
-
         if args.serve_grace > 0:
             # Keep the endpoints up so a supervisor (CI, a dashboard
             # poller) can scrape the finished campaign's final state.
@@ -530,42 +507,34 @@ def _cmd_campaign(args) -> int:
                   f"{args.serve_grace:g}s more", file=sys.stderr)
             time.sleep(args.serve_grace)
         control_plane.close()
-        metrics_registry.disable()
     return 0
 
 
 def _cmd_serve(args) -> int:
     """Post-hoc control plane: serve a finished campaign's artifacts.
 
-    Rebuilds the status board and metric families by replaying the
-    journal's outcomes, loads the CI trajectory if one was recorded, and
-    exposes the same ``/metrics`` / ``/status`` / ``/trajectory``
-    endpoints as ``repro campaign --serve`` — without re-running
-    anything.
+    Replays the journal's events into a campaign state, loads the CI
+    trajectory if one was recorded, and exposes the same ``/metrics`` /
+    ``/status`` / ``/trajectory`` endpoints as ``repro campaign
+    --serve`` — without re-running anything.
     """
-    from repro.observe.html_report import load_campaign_results
-    from repro.observe.httpd import (
-        ControlPlane,
-        board_from_results,
-        registry_from_results,
-    )
+    from repro.observe.httpd import ControlPlane
+    from repro.observe.state import CampaignState
 
-    results = load_campaign_results(args.journal)
-    if not results:
+    state = CampaignState.replay(args.journal,
+                                 benchmark=args.benchmark or "",
+                                 seed=args.seed)
+    if not state.snapshot().cells:
         raise SystemExit(
             f"error: no campaign results in journal {args.journal!r}"
         )
-    board = board_from_results(results, benchmark=args.benchmark or "",
-                               seed=args.seed)
-    registry = registry_from_results(results)
-    trajectory = None
+    points = None
     if args.trajectory:
-        from repro.observe import TrajectoryRecorder, load_trajectory
+        from repro.observe import load_trajectory
 
-        trajectory = TrajectoryRecorder()  # path-less: in-memory only
-        trajectory.points.extend(load_trajectory(args.trajectory))
-    plane = ControlPlane(registry, board, trajectory,
-                         host=args.host, port=args.metrics_port)
+        points = load_trajectory(args.trajectory)
+    plane = ControlPlane(state, points, host=args.host,
+                         port=args.metrics_port)
     bound = plane.start()
     print(f"control plane: http://{args.host}:{bound} "
           f"(/metrics /status /trajectory)", file=sys.stderr)

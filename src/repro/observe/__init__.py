@@ -1,13 +1,16 @@
-"""Observability layer over campaigns: flight recorder, monitor, report.
+"""Observability layer over campaigns: state, views, flight recorder.
 
-Three consumers of the same telemetry/journal substrate:
-
+- :mod:`repro.observe.state` — the one :class:`CampaignState` every live
+  view reads, fed by the executor's event stream or a journal replay;
+- :mod:`repro.observe.monitor` — the terminal view behind
+  ``repro campaign --monitor``;
+- :mod:`repro.observe.trajectory` — the CI-trajectory view;
+- :mod:`repro.observe.httpd` — the ``/metrics`` / ``/status`` /
+  ``/trajectory`` control plane (imported lazily by the CLI);
 - :mod:`repro.observe.flight` — per-run flight records capturing the
   full causal chain (model -> victim -> placement -> masking -> outcome)
   as framed lines on the telemetry JSONL trace, plus the query API
   behind ``repro trace query``;
-- :mod:`repro.observe.monitor` — the live terminal status view behind
-  ``repro campaign --monitor``;
 - :mod:`repro.observe.html_report` — the self-contained HTML report
   behind ``repro report --html`` (imported lazily: it pulls in the
   whole campaign layer).
@@ -36,13 +39,9 @@ from repro.observe.flight import (
     records_table,
     summary_tables,
 )
-from repro.observe.monitor import CampaignMonitor, MonitorMux
-from repro.observe.stats import (
-    AvmEstimate,
-    avm_estimate,
-    non_masked_count,
-    wilson_ci,
-)
+from repro.observe.monitor import CampaignMonitor
+from repro.observe.state import CampaignState, journal_events
+from repro.observe.stats import AvmEstimate, avm_estimate, non_masked_count
 from repro.observe.trajectory import (
     TrajectoryPoint,
     TrajectoryRecorder,
@@ -53,14 +52,14 @@ from repro.observe.trajectory import (
 __all__ = [
     "AvmEstimate",
     "CampaignMonitor",
-    "MonitorMux",
+    "CampaignState",
     "TrajectoryPoint",
     "TrajectoryRecorder",
     "avm_estimate",
+    "journal_events",
     "load_trajectory",
     "non_masked_count",
     "points_by_cell",
-    "wilson_ci",
     "FlightRecord",
     "FlightRecorder",
     "FlightVictim",

@@ -24,8 +24,7 @@ import html as _html
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.campaign.executor import CellStats
-from repro.campaign.outcomes import Outcome, OutcomeCounts
+from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import CampaignResult
 from repro.observe.records import (
     FlightRecord,
@@ -33,6 +32,7 @@ from repro.observe.records import (
     masking_summary,
 )
 from repro.observe.flight import explain
+from repro.observe.state import CellEnded, journal_events
 from repro.observe.trajectory import TrajectoryPoint, points_by_cell
 
 __all__ = ["load_campaign_results", "render_html", "write_report"]
@@ -66,76 +66,15 @@ def _ramp(frac: float) -> str:
 
 # -- journal loading ----------------------------------------------------------
 def load_campaign_results(journal_path) -> List[CampaignResult]:
-    """Reconstruct per-cell :class:`CampaignResult` objects from a journal.
+    """Per-cell :class:`CampaignResult` objects of a journal, by cell key.
 
-    Works on the raw JSONL (torn tail tolerated) so it can render reports
-    for campaigns that are still running or were killed: ``run`` lines
-    rebuild the outcome counts, ``cell`` lines (when present) supply the
-    model's error ratio and the degraded flag, and a lightweight
-    :class:`CellStats` is synthesised from per-run accounting.
+    The results of the :class:`~repro.observe.state.CellEnded` events
+    :func:`~repro.observe.state.journal_events` replays, so reports see
+    exactly the cells ``repro serve`` does.
     """
-    from repro.telemetry.sinks import read_trace
-
-    events = read_trace(journal_path)
-    seed = 0
-    cells: Dict[Tuple[str, str, str], Dict[int, dict]] = {}
-    summaries: Dict[Tuple[str, str, str], dict] = {}
-    harness_errors = 0
-    for event in events:
-        kind = event.get("type")
-        if kind == "meta":
-            seed = int(event.get("seed", 0))
-        elif kind == "run":
-            key = (event.get("workload", "?"), event.get("model", "?"),
-                   event.get("point", "?"))
-            cells.setdefault(key, {})[int(event.get("run_index", -1))] = event
-        elif kind == "cell":
-            key = (event.get("workload", "?"), event.get("model", "?"),
-                   event.get("point", "?"))
-            summaries[key] = event
-        elif kind == "harness_error":
-            harness_errors += 1
-
-    results: List[CampaignResult] = []
-    for key in sorted(cells):
-        workload, model, point = key
-        runs = cells[key]
-        counts = OutcomeCounts()
-        uarch_masked = 0
-        no_injection = 0
-        watchdogs = 0
-        retries = 0
-        wall_ms = 0.0
-        for event in runs.values():
-            try:
-                counts.record(Outcome(event.get("outcome")))
-            except ValueError:
-                continue
-            uarch_masked += int(event.get("uarch_masked", 0))
-            if not event.get("injected", True):
-                no_injection += 1
-            if event.get("watchdog"):
-                watchdogs += 1
-            retries += int(event.get("retries", 0))
-            wall_ms += float(event.get("wall_ms", 0.0))
-        summary = summaries.get(key, {})
-        stats = CellStats(
-            runs=int(summary.get("runs", counts.total)),
-            executed=counts.total,
-            watchdog_kills=watchdogs,
-            retries=retries,
-            harness_errors=harness_errors if len(cells) == 1 else 0,
-            degraded=bool(summary.get("degraded", False)),
-            wall_time=wall_ms / 1000.0,
-        )
-        results.append(CampaignResult(
-            workload=workload, model=model, point=point, counts=counts,
-            error_ratio=float(summary.get("error_ratio", 0.0)),
-            uarch_masked=uarch_masked,
-            runs_without_injection=no_injection,
-            seed=seed, stats=stats,
-        ))
-    return results
+    results = [event.result for event in journal_events(journal_path)
+               if isinstance(event, CellEnded)]
+    return sorted(results, key=lambda r: (r.workload, r.model, r.point))
 
 
 # -- chart pieces -------------------------------------------------------------

@@ -1,32 +1,21 @@
 """Live campaign control plane: /metrics, /status and /trajectory.
 
-A stdlib-only HTTP layer (``http.server.ThreadingHTTPServer``) over the
-campaign's observability substrate, serving
+A stdlib-only HTTP layer (``http.server.ThreadingHTTPServer``) whose
+endpoints are views of one :class:`~repro.observe.state.CampaignState`:
 
-- ``/metrics`` — Prometheus text exposition of the metrics registry,
-  with the process's telemetry counters bridged in at scrape time;
-- ``/status`` — one JSON document of campaign progress: identity,
-  current-cell progress, outcome tallies, running AVM with its Wilson
-  CI, worker health, finished-cell summaries;
+- ``/metrics`` — Prometheus text exposition of :func:`campaign_families`
+  of a state snapshot, with the process's telemetry counters bridged in
+  at scrape time (:func:`repro.telemetry.export.with_telemetry`);
+- ``/status`` — :func:`status_document`, one JSON document of campaign
+  progress: identity, current-cell progress, outcome tallies, running
+  AVM with its Wilson CI, worker health, finished-cell summaries;
 - ``/trajectory`` — the recorded CI-trajectory points as NDJSON
   (filterable with ``?cell=``).
 
-Three hook-shaped observers feed it, multiplexed by
-:class:`~repro.observe.monitor.MonitorMux` into the executor's single
-``monitor`` slot:
-
-- :class:`CampaignMetrics` updates the registry families
-  (``repro_campaign_runs_total``, ``repro_campaign_outcome_total``,
-  ``repro_campaign_avm``, ``repro_worker_alive``, ...);
-- :class:`StatusBoard` keeps the thread-safe snapshot ``/status``
-  serialises;
-- the :class:`~repro.observe.trajectory.TrajectoryRecorder` retains the
-  points ``/trajectory`` streams.
-
-Everything here is a pure observer — scrapes read state under a lock
-and never touch an RNG stream, so a served campaign stays bit-identical
-to an unobserved one.  Binding port 0 asks the kernel for an ephemeral
-port; :meth:`ControlPlane.start` returns the bound port and ``/status``
+Scrapes read a snapshot taken under the state's lock and never touch an
+RNG stream, so a served campaign stays bit-identical to an unobserved
+one.  Binding port 0 asks the kernel for an ephemeral port;
+:meth:`ControlPlane.start` returns the bound port and ``/status``
 surfaces it.
 """
 
@@ -34,335 +23,133 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro import telemetry
-from repro.observe.stats import avm_estimate, non_masked_count
-from repro.telemetry.export import render_prometheus
-from repro.telemetry.metrics import MetricsRegistry
+from repro.observe.state import CampaignState, CellView, StateSnapshot
+from repro.telemetry.export import Family, render_prometheus, with_telemetry
 
-__all__ = [
-    "CampaignMetrics",
-    "ControlPlane",
-    "StatusBoard",
-    "board_from_results",
-    "registry_from_results",
-]
+__all__ = ["ControlPlane", "campaign_families", "status_document"]
 
 #: Bumped when the /status document shape changes.
 #: v2: adaptive-sampling block (stop decisions, runs saved) added.
 STATUS_VERSION = 3
 
 
-class CampaignMetrics:
-    """Monitor-protocol adapter that feeds a metrics registry.
+def _cell_doc(cell: CellView, current: bool) -> Dict[str, Any]:
+    if current:
+        doc = {"cell": cell.cell, "runs_requested": cell.runs,
+               "runs_done": cell.done, "resumed": cell.resumed,
+               "outcomes": dict(cell.outcomes),
+               "avm": cell.avm.to_dict(), "started_s": cell.started_s}
+    else:
+        doc = {"cell": cell.cell, "runs": cell.done,
+               "outcomes": dict(cell.outcomes), "avm": cell.avm.to_dict(),
+               "degraded": cell.degraded}
+    if cell.stop is not None:
+        doc["stop"] = dict(cell.stop)
+    return doc
 
-    Counter families are campaign-cumulative; per-cell families carry a
-    ``cell`` label.  The executor's :class:`CellStats` totals are pinned
-    with ``set_total`` (they are monotonic within a cell), so repeated
-    ``on_run`` ticks never double-count.
+
+def status_document(snap: StateSnapshot,
+                    port: Optional[int] = None) -> Dict[str, Any]:
+    """The ``/status`` document of a state snapshot."""
+    current, health = snap.current, snap.health
+    return {
+        "service": "repro-control-plane",
+        "version": STATUS_VERSION,
+        "campaign": dict(snap.campaign),
+        "port": port,
+        "uptime_s": snap.now - snap.started_s,
+        "finished": snap.finished,
+        "runs_done": snap.runs_done,
+        "cells_done": snap.cells_done,
+        "outcomes": dict(snap.outcomes),
+        "avm": snap.avm.to_dict(),
+        "current_cell": (_cell_doc(current, True)
+                         if current is not None else None),
+        "workers": ({"pool_size": health["pool_size"], "alive": snap.alive,
+                     "retries": health["retries"],
+                     "watchdog_kills": health["watchdog_kills"],
+                     "harness_errors": health["harness_errors"],
+                     "worker_restarts": health["worker_restarts"]}
+                    if health is not None else {}),
+        "adaptive": {"cells_stopped": sum(snap.stops_by_rule.values()),
+                     "stops_by_rule": dict(snap.stops_by_rule),
+                     "runs_saved": snap.runs_saved},
+        "cells": [_cell_doc(cell, False) for cell in snap.cells
+                  if cell.ended],
+        "shards": dict(snap.shards) if snap.shards is not None else None,
+    }
+
+
+def campaign_families(snap: StateSnapshot) -> List[Family]:
+    """The ``repro_campaign_*`` / ``repro_worker_*`` families of a snapshot.
+
+    Per-cell families carry a ``cell`` label; a cell contributes a
+    sample once it has one (the AVM after its first run, executor
+    health after its first report).
     """
 
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self._runs = registry.counter(
-            "repro_campaign_runs_total",
-            "Classified campaign runs (journal-resumed runs included)")
-        self._outcomes = registry.counter(
-            "repro_campaign_outcome_total",
-            "Classified campaign runs by outcome", labels=("outcome",))
-        self._avm = registry.gauge(
-            "repro_campaign_avm",
-            "Running AVM (non-masked fraction) per campaign cell",
-            labels=("cell",))
-        self._ci_half = registry.gauge(
-            "repro_campaign_avm_ci_halfwidth",
-            "Half-width of the 95% Wilson CI on the running AVM",
-            labels=("cell",))
-        self._worker_alive = registry.gauge(
-            "repro_worker_alive",
-            "Campaign workers presumed alive (1 when running serially)")
-        self._cells = registry.counter(
-            "repro_campaign_cells_total", "Campaign cells completed")
-        self._cell_runs = registry.gauge(
-            "repro_campaign_cell_runs",
-            "Runs requested for the cell", labels=("cell",))
-        self._cell_done = registry.gauge(
-            "repro_campaign_cell_done",
-            "Runs classified so far in the cell", labels=("cell",))
-        self._retries = registry.counter(
-            "repro_campaign_retries_total",
-            "Harness-error retries", labels=("cell",))
-        self._watchdog = registry.counter(
-            "repro_campaign_watchdog_kills_total",
-            "Runs stopped by a wall-clock watchdog", labels=("cell",))
-        self._restarts = registry.counter(
-            "repro_worker_restarts_total",
-            "Workers recycled, replaced or killed", labels=("cell",))
-        self._run_ms = registry.summary(
-            "repro_campaign_run_wall_ms",
-            "Wall-clock milliseconds per classified run")
-        self._stops = registry.counter(
-            "repro_campaign_stops_total",
-            "Adaptive stop decisions by rule", labels=("rule",))
-        self._saved = registry.counter(
-            "repro_campaign_runs_saved_total",
-            "Budgeted runs adaptive sampling did not need to execute")
-        self._cell: Optional[str] = None
-        self._tallies: Dict[str, int] = {}
-        self._done = 0
+    def total(value) -> Dict[tuple, Any]:
+        return {(): value} if value else {}
 
-    # -- executor hooks -------------------------------------------------------
-    def begin_cell(self, workload: str, model: str, point: str,
-                   runs: int, resumed: int = 0) -> None:
-        self._cell = f"{workload}/{model}/{point}"
-        self._tallies = {}
-        self._done = resumed
-        self._cell_runs.set(runs, cell=self._cell)
-        self._cell_done.set(resumed, cell=self._cell)
-        self._worker_alive.set(1)
-        if resumed:
-            self._runs.inc(resumed)
+    def per_cell(value, when=lambda cell: True) -> Dict[tuple, Any]:
+        return {(cell.cell,): value(cell) for cell in snap.cells
+                if when(cell)}
 
-    def on_run(self, record: Any, stats: Optional[Any] = None) -> None:
-        cell = self._cell or "?"
-        self._done += 1
-        self._runs.inc()
-        outcome = getattr(record, "outcome", str(record))
-        self._tallies[outcome] = self._tallies.get(outcome, 0) + 1
-        self._outcomes.inc(outcome=outcome)
-        self._run_ms.observe(float(getattr(record, "wall_ms", 0.0)))
-        est = avm_estimate(non_masked_count(self._tallies), self._done)
-        self._avm.set(est.avm, cell=cell)
-        self._ci_half.set(est.half_width, cell=cell)
-        self._cell_done.set(self._done, cell=cell)
-        if stats is not None:
-            self._worker_alive.set(max(getattr(stats, "workers", 0), 1))
-            self._retries.set_total(stats.retries, cell=cell)
-            self._watchdog.set_total(stats.watchdog_kills, cell=cell)
-            self._restarts.set_total(stats.worker_restarts, cell=cell)
+    def health(key):
+        return per_cell(lambda cell: cell.health[key],
+                        lambda cell: cell.health is not None)
 
-    def on_stop(self, decision: Any) -> None:
-        self._stops.inc(rule=str(decision.rule))
-        saved = int(getattr(decision, "runs_saved", 0))
-        if saved:
-            self._saved.inc(saved)
+    def ran(cell):
+        return cell.done
 
-    def end_cell(self, result: Any) -> None:
-        self._cells.inc()
-        counts = getattr(result, "counts", None)
-        if counts is not None and counts.total:
-            cell = self._cell or "?"
-            est = avm_estimate(counts.non_masked, counts.total)
-            self._avm.set(est.avm, cell=cell)
-            self._ci_half.set(est.half_width, cell=cell)
-            self._cell_done.set(counts.total, cell=cell)
-        self._cell = None
-
-    def close(self) -> None:
-        self._worker_alive.set(0)
-
-
-class StatusBoard:
-    """Thread-safe campaign status snapshot behind ``/status``.
-
-    Fed by the same monitor hooks as everything else; scraped (under
-    its lock) by the HTTP handler thread.  Also buildable post-hoc from
-    journal-reconstructed results via :func:`board_from_results`.
-    """
-
-    def __init__(self, now=time.monotonic):
-        self._now = now
-        self._lock = threading.Lock()
-        self._campaign: Dict[str, Any] = {}
-        self._started = now()
-        self._cells: List[Dict[str, Any]] = []
-        self._current: Optional[Dict[str, Any]] = None
-        self._outcomes: Dict[str, int] = {}
-        self._workers: Dict[str, int] = {}
-        self._runs_done = 0
-        self._finished = False
-        self._adaptive: Dict[str, Any] = {
-            "cells_stopped": 0, "stops_by_rule": {}, "runs_saved": 0,
-        }
-        self._shards: Optional[Dict[str, Any]] = None
-        self.port: Optional[int] = None
-
-    def begin_campaign(self, benchmark: str, seed: int,
-                       cells_total: Optional[int] = None,
-                       extra: Optional[Dict[str, Any]] = None) -> None:
-        with self._lock:
-            self._campaign = {"benchmark": benchmark, "seed": seed,
-                              "cells_total": cells_total}
-            if extra:
-                self._campaign.update(extra)
-
-    # -- executor hooks -------------------------------------------------------
-    def begin_cell(self, workload: str, model: str, point: str,
-                   runs: int, resumed: int = 0) -> None:
-        with self._lock:
-            self._current = {
-                "cell": f"{workload}/{model}/{point}",
-                "runs_requested": runs,
-                "runs_done": resumed,
-                "resumed": resumed,
-                "outcomes": {},
-                "avm": avm_estimate(0, 0).to_dict(),
-                "started_s": self._now(),
-            }
-
-    def on_run(self, record: Any, stats: Optional[Any] = None) -> None:
-        outcome = getattr(record, "outcome", str(record))
-        with self._lock:
-            self._runs_done += 1
-            self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
-            current = self._current
-            if current is not None:
-                current["runs_done"] += 1
-                tallies = current["outcomes"]
-                tallies[outcome] = tallies.get(outcome, 0) + 1
-                current["avm"] = avm_estimate(
-                    non_masked_count(tallies),
-                    current["runs_done"]).to_dict()
-            if stats is not None:
-                self._workers = {
-                    "pool_size": getattr(stats, "workers", 0),
-                    "alive": max(getattr(stats, "workers", 0), 1),
-                    "retries": stats.retries,
-                    "watchdog_kills": stats.watchdog_kills,
-                    "harness_errors": stats.harness_errors,
-                    "worker_restarts": stats.worker_restarts,
-                }
-
-    def on_stop(self, decision: Any) -> None:
-        with self._lock:
-            rule = str(decision.rule)
-            self._adaptive["cells_stopped"] += 1
-            by_rule = self._adaptive["stops_by_rule"]
-            by_rule[rule] = by_rule.get(rule, 0) + 1
-            self._adaptive["runs_saved"] += int(
-                getattr(decision, "runs_saved", 0))
-            if self._current is not None:
-                self._current["stop"] = decision.to_dict()
-
-    def end_cell(self, result: Any) -> None:
-        with self._lock:
-            summary: Dict[str, Any] = {}
-            counts = getattr(result, "counts", None)
-            if counts is not None:
-                est = avm_estimate(counts.non_masked, counts.total)
-                summary = {
-                    "cell": (f"{result.workload}/{result.model}/"
-                             f"{result.point}"),
-                    "runs": counts.total,
-                    "outcomes": {o.value: n
-                                 for o, n in counts.counts.items()},
-                    "avm": est.to_dict(),
-                    "degraded": bool(getattr(result.stats, "degraded",
-                                             False)
-                                     if result.stats else False),
-                }
-                stop = (getattr(result.stats, "stop", None)
-                        if result.stats else None)
-                if stop is not None:
-                    summary["stop"] = stop.to_dict()
-            elif self._current is not None:
-                summary = dict(self._current)
-            self._cells.append(summary)
-            self._current = None
-
-    def update_shards(self, status: Dict[str, Any]) -> None:
-        """Aggregate shard-queue state from a ShardCoordinator poll.
-
-        ``status`` is :meth:`repro.campaign.shard.ShardCoordinator.status`
-        output: items/done totals, per-shard progress, live leases.
-        """
-        with self._lock:
-            self._shards = dict(status)
-
-    def close(self) -> None:
-        with self._lock:
-            self._finished = True
-            if self._workers:
-                self._workers["alive"] = 0
-
-    # -- scraping -------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """The ``/status`` document (JSON-serialisable copy)."""
-        with self._lock:
-            non_masked = non_masked_count(self._outcomes)
-            return {
-                "service": "repro-control-plane",
-                "version": STATUS_VERSION,
-                "campaign": dict(self._campaign),
-                "port": self.port,
-                "uptime_s": self._now() - self._started,
-                "finished": self._finished,
-                "runs_done": self._runs_done,
-                "cells_done": len(self._cells),
-                "outcomes": dict(self._outcomes),
-                "avm": avm_estimate(non_masked,
-                                    self._runs_done).to_dict(),
-                "current_cell": (dict(self._current)
-                                 if self._current is not None else None),
-                "workers": dict(self._workers),
-                "adaptive": {
-                    "cells_stopped": self._adaptive["cells_stopped"],
-                    "stops_by_rule": dict(
-                        self._adaptive["stops_by_rule"]),
-                    "runs_saved": self._adaptive["runs_saved"],
-                },
-                "cells": [dict(cell) for cell in self._cells],
-                "shards": (dict(self._shards)
-                           if self._shards is not None else None),
-            }
-
-
-def board_from_results(results, benchmark: str = "",
-                       seed: Optional[int] = None) -> StatusBoard:
-    """A finished-campaign StatusBoard from journal-derived results.
-
-    Powers ``repro serve --journal``: the journal's reconstructed
-    :class:`~repro.campaign.runner.CampaignResult` objects replay
-    through the same hook path a live campaign uses, so the ``/status``
-    document is identical in shape.
-    """
-    board = StatusBoard()
-    results = list(results)
-    if seed is None and results:
-        seed = results[0].seed
-    if not benchmark:
-        benchmark = ",".join(sorted({r.workload for r in results}))
-    board.begin_campaign(benchmark, seed or 0, cells_total=len(results))
-    for result in results:
-        board.begin_cell(result.workload, result.model, result.point,
-                         result.counts.total)
-        for outcome, n in result.counts.counts.items():
-            for _ in range(n):
-                board.on_run(type("R", (), {"outcome": outcome.value})(),
-                             result.stats)
-        board.end_cell(result)
-    board.close()
-    return board
-
-
-def registry_from_results(results) -> MetricsRegistry:
-    """A metrics registry pre-filled from journal-derived results."""
-    registry = MetricsRegistry()
-    metrics = CampaignMetrics(registry)
-    for result in results:
-        metrics.begin_cell(result.workload, result.model, result.point,
-                           result.counts.total)
-        for outcome, n in result.counts.counts.items():
-            if n:
-                metrics._outcomes.inc(n, outcome=outcome.value)
-        metrics._runs.inc(result.counts.total)
-        metrics.end_cell(result)
-    metrics.close()
-    return registry
+    return [
+        Family("repro_campaign_runs_total", "counter",
+               "Classified campaign runs (journal-resumed runs included)",
+               samples=total(snap.runs_done)),
+        Family("repro_campaign_outcome_total", "counter",
+               "Classified campaign runs by outcome", ("outcome",),
+               {(outcome,): n for outcome, n in snap.outcomes.items()}),
+        Family("repro_campaign_avm", "gauge",
+               "Running AVM (non-masked fraction) per campaign cell",
+               ("cell",), per_cell(lambda cell: cell.avm.avm, ran)),
+        Family("repro_campaign_avm_ci_halfwidth", "gauge",
+               "Half-width of the 95% Wilson CI on the running AVM",
+               ("cell",), per_cell(lambda cell: cell.avm.half_width, ran)),
+        Family("repro_worker_alive", "gauge",
+               "Campaign workers presumed alive (1 when running serially)",
+               samples=({(): snap.alive} if snap.alive is not None
+                        else {})),
+        Family("repro_campaign_cells_total", "counter",
+               "Campaign cells completed", samples=total(snap.cells_done)),
+        Family("repro_campaign_cell_runs", "gauge",
+               "Runs requested for the cell", ("cell",),
+               per_cell(lambda cell: cell.runs)),
+        Family("repro_campaign_cell_done", "gauge",
+               "Runs classified so far in the cell", ("cell",),
+               per_cell(lambda cell: cell.done)),
+        Family("repro_campaign_retries_total", "counter",
+               "Harness-error retries", ("cell",), health("retries")),
+        Family("repro_campaign_watchdog_kills_total", "counter",
+               "Runs stopped by a wall-clock watchdog", ("cell",),
+               health("watchdog_kills")),
+        Family("repro_worker_restarts_total", "counter",
+               "Workers recycled, replaced or killed", ("cell",),
+               health("worker_restarts")),
+        Family("repro_campaign_run_wall_ms", "summary",
+               "Wall-clock milliseconds per classified run",
+               samples={(): snap.wall_ms} if snap.wall_ms.count else {}),
+        Family("repro_campaign_stops_total", "counter",
+               "Adaptive stop decisions by rule", ("rule",),
+               {(rule,): n for rule, n in snap.stops_by_rule.items()}),
+        Family("repro_campaign_runs_saved_total", "counter",
+               "Budgeted runs adaptive sampling did not need to execute",
+               samples=total(snap.runs_saved)),
+    ]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -413,21 +200,19 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ControlPlane:
-    """The HTTP server wiring registry, status board and trajectory.
+    """The HTTP server over a campaign state and its trajectory points.
 
     ``port=0`` binds an ephemeral port; :meth:`start` returns whichever
-    port was bound and records it on the status board.  The server runs
-    on a daemon thread (plus per-request handler threads) and only ever
-    *reads* observer state — it cannot perturb a campaign.
+    port was bound and ``/status`` reports it.  The server runs on a
+    daemon thread (plus per-request handler threads) and only ever
+    *reads* state snapshots — it cannot perturb a campaign.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 status: Optional[StatusBoard] = None,
-                 trajectory: Optional[Any] = None,
+    def __init__(self, state: Optional[CampaignState] = None,
+                 points: Optional[Sequence[Any]] = None,
                  host: str = "127.0.0.1", port: int = 0):
-        self.registry = registry
-        self.status = status
-        self.trajectory = trajectory
+        self.state = state
+        self.points = points if points is not None else []
         self.host = host
         self.requested_port = port
         self._server: Optional[ThreadingHTTPServer] = None
@@ -435,26 +220,23 @@ class ControlPlane:
 
     # -- endpoint bodies ------------------------------------------------------
     def render_metrics(self) -> str:
-        if self.registry is None:
+        if self.state is None:
             return ""
+        families = campaign_families(self.state.snapshot())
         if telemetry.enabled():
-            # Bridge the process's telemetry counters/stats (executor,
-            # runner, pipeline, fast-forward, chaos probes) at scrape
-            # time — cheap, and only scrapers pay for it.
-            self.registry.sync_from_telemetry(telemetry.snapshot())
-        return render_prometheus(self.registry)
+            families = with_telemetry(families, telemetry.snapshot())
+        return render_prometheus(families)
 
     def render_status(self) -> Dict[str, Any]:
-        if self.status is None:
+        if self.state is None:
             return {"service": "repro-control-plane",
                     "version": STATUS_VERSION, "port": self.port,
                     "campaign": {}, "finished": False}
-        return self.status.snapshot()
+        return status_document(self.state.snapshot(), self.port)
 
     def render_trajectory(self, cell: Optional[str] = None) -> str:
-        points = getattr(self.trajectory, "points", None) or []
         lines = [json.dumps(p.to_dict(), separators=(",", ":"))
-                 for p in list(points)
+                 for p in list(self.points)
                  if cell is None or p.cell == cell]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -464,11 +246,6 @@ class ControlPlane:
         if self._server is None:
             return None
         return self._server.server_address[1]
-
-    @property
-    def url(self) -> Optional[str]:
-        port = self.port
-        return f"http://{self.host}:{port}" if port else None
 
     def start(self) -> int:
         """Bind, spin up the serving thread, return the bound port."""
@@ -480,10 +257,7 @@ class ControlPlane:
             target=self._server.serve_forever,
             name="repro-control-plane", daemon=True)
         self._thread.start()
-        port = self._server.server_address[1]
-        if self.status is not None:
-            self.status.port = port
-        return port
+        return self._server.server_address[1]
 
     def close(self) -> None:
         if self._server is not None:

@@ -1,95 +1,96 @@
-"""Live campaign monitor: a stdlib-only terminal status view.
+"""Live campaign monitor: a stdlib-only terminal view of the campaign state.
 
-Fed by the executor's per-run hook (every classified
-:class:`~repro.campaign.journal.RunRecord`) plus the telemetry counters
-when telemetry is enabled, the monitor shows, per campaign cell:
-
-- progress (done/requested, resumed runs counted as done),
-- running outcome tallies and the AVM-so-far with its 95 % Wilson CI
-  half-width — so the paper's 1068-run / 3 % margin criterion can be
-  watched converging live,
-- worker health (pool size, restarts, retries, watchdog kills), and
-- an ETA from a streaming run-rate estimate.
+For the newest cell it shows progress (resumed runs counted as done),
+outcome tallies and the AVM-so-far with its 95 % Wilson CI half-width —
+so the paper's 1068-run / 3 % margin criterion can be watched converging
+live — worker health, and an ETA from the cell's run rate.
 
 On a TTY the block refreshes in place (ANSI cursor movement, throttled
-to ``interval`` seconds); on anything else it degrades to periodic plain
-log lines every ``log_interval`` seconds so redirected output stays
-readable.  The monitor never touches campaign state: it is a pure
-observer and safe to drop into deterministic runs.
+to ``interval`` seconds); on anything else it degrades to plain log
+lines every ``log_interval`` seconds.  Time is the snapshot's, so the
+view has no clock of its own.
 """
 
 from __future__ import annotations
 
 import sys
-import time
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Optional, TextIO
 
-from repro.observe.stats import (
-    NON_MASKED_OUTCOMES,
-    OUTCOME_ORDER,
-    avm_estimate,
-    non_masked_count,
+from repro.observe.state import (
+    CellBegun,
+    CellEnded,
+    RunClassified,
+    StateSnapshot,
+    StopDecided,
 )
+from repro.observe.stats import OUTCOME_ORDER
 
-__all__ = ["CampaignMonitor", "MonitorMux"]
-
-#: Outcome display order (matches the paper's category order).
-_OUTCOMES = OUTCOME_ORDER
-_NON_MASKED = NON_MASKED_OUTCOMES
+__all__ = ["CampaignMonitor"]
 
 
 class CampaignMonitor:
-    """Terminal status view over one or more campaign cells."""
+    """Terminal status view of the newest campaign cell."""
 
     def __init__(self, stream: Optional[TextIO] = None,
                  interval: float = 0.25, log_interval: float = 5.0,
                  total_cells: Optional[int] = None,
-                 use_ansi: Optional[bool] = None,
-                 now=time.monotonic):
+                 use_ansi: Optional[bool] = None):
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
         self.log_interval = log_interval
         self.total_cells = total_cells
-        self._now = now
         if use_ansi is None:
             use_ansi = bool(getattr(self.stream, "isatty", lambda: False)())
         self.use_ansi = use_ansi
-
-        self.cells_done = 0
-        self._cell: Optional[str] = None
-        self._runs_requested = 0
-        self._done = 0
-        self._resumed = 0
-        self._tallies: Dict[str, int] = {}
-        self._stats: Optional[Any] = None
-        self._cell_started = 0.0
         self._last_draw = float("-inf")
         self._drawn_lines = 0
 
-    # -- executor hooks -------------------------------------------------------
-    def begin_cell(self, workload: str, model: str, point: str,
-                   runs: int, resumed: int = 0) -> None:
-        self._cell = f"{workload}/{model}/{point}"
-        self._runs_requested = runs
-        self._done = resumed
-        self._resumed = resumed
-        self._tallies = {name: 0 for name in _OUTCOMES}
-        self._stats = None
-        self._cell_started = self._now()
-        self._last_draw = float("-inf")
-        self._draw(force=True)
+    # -- state view -----------------------------------------------------------
+    def update(self, event: Any, snap: StateSnapshot) -> None:
+        if isinstance(event, RunClassified):
+            self._draw(snap)
+        elif isinstance(event, CellBegun):
+            self._draw(snap, force=True)
+        elif isinstance(event, StopDecided):
+            self._stop_line(event.decision)
+            self._draw(snap, force=True)
+        elif isinstance(event, CellEnded):
+            self._draw(snap, force=True, final=True)
 
-    def on_run(self, record: Any, stats: Optional[Any] = None) -> None:
-        """One classified run (``record`` is RunRecord-shaped)."""
-        self._done += 1
-        outcome = getattr(record, "outcome", str(record))
-        self._tallies[outcome] = self._tallies.get(outcome, 0) + 1
-        if stats is not None:
-            self._stats = stats
-        self._draw()
+    def close(self) -> None:
+        if self.use_ansi and self._drawn_lines:
+            self.stream.write("\n")
+            self.stream.flush()
+            self._drawn_lines = 0
 
-    def on_stop(self, decision: Any) -> None:
-        """An adaptive cell's stop decision (StopDecision-shaped)."""
+    # -- rendering ------------------------------------------------------------
+    def render(self, snap: StateSnapshot) -> str:
+        """The status block (three lines) of the snapshot's newest cell."""
+        cell = snap.cells[-1]
+        return "\n".join([self._progress_line(snap), _avm_line(cell),
+                          _health_line(cell.health)])
+
+    def _progress_line(self, snap: StateSnapshot) -> str:
+        cell = snap.cells[-1]
+        runs = cell.runs
+        done = min(cell.done, runs) if runs else cell.done
+        frac = done / runs if runs else 0.0
+        width = 20
+        filled = int(round(width * frac))
+        bar = "#" * filled + "." * (width - filled)
+        elapsed = max(snap.now - cell.started_s, 1e-9)
+        rate = (cell.done - cell.resumed) / elapsed
+        if rate > 0 and runs:
+            remaining = max(runs - cell.done, 0)
+            eta = f"ETA {remaining / rate:5.0f}s"
+        else:
+            eta = "ETA --"
+        cells = (f"  cell {len(snap.cells)}"
+                 + (f"/{self.total_cells}" if self.total_cells else ""))
+        return (f"campaign {cell.cell}  [{bar}]  {done}/{runs} "
+                f"({frac:5.1%})  {rate:6.1f} runs/s  {eta}{cells}")
+
+    def _stop_line(self, decision: Any) -> None:
         line = (f"  stop: {decision.rule} at n={decision.n} "
                 f"(budget {decision.budget})  AVM in "
                 f"[{decision.ci_lo:.3f}, {decision.ci_hi:.3f}] "
@@ -100,79 +101,14 @@ class CampaignMonitor:
             self._drawn_lines = 0
         self.stream.write(line + "\n")
         self.stream.flush()
-        self._draw(force=True)
 
-    def end_cell(self, result: Any) -> None:
-        if getattr(result, "stats", None) is not None:
-            self._stats = result.stats
-        self._draw(force=True, final=True)
-        self.cells_done += 1
-
-    def close(self) -> None:
-        if self.use_ansi and self._drawn_lines:
-            self.stream.write("\n")
-            self.stream.flush()
-            self._drawn_lines = 0
-
-    # -- rendering ------------------------------------------------------------
-    def _avm_line(self) -> str:
-        done = self._done
-        tallies = self._tallies
-        parts = "  ".join(f"{name} {tallies.get(name, 0)}"
-                          for name in _OUTCOMES)
-        extras = sum(n for name, n in tallies.items()
-                     if name not in _OUTCOMES)
-        if extras:
-            parts += f"  other {extras}"
-        if not done:
-            return f"  outcomes: {parts}   AVM --"
-        est = avm_estimate(non_masked_count(tallies), done)
-        return (f"  outcomes: {parts}   "
-                f"AVM {est.avm:6.1%} ±{est.half_width:5.1%} (95% CI)")
-
-    def _health_line(self) -> str:
-        stats = self._stats
-        if stats is None:
-            return "  executor: serial, no events"
-        workers = getattr(stats, "workers", 0)
-        mode = f"{workers} workers" if workers else "serial"
-        return (f"  executor: {mode}  retries {stats.retries}  "
-                f"watchdog {stats.watchdog_kills}  "
-                f"harness-err {stats.harness_errors}  "
-                f"restarts {stats.worker_restarts}")
-
-    def _progress_line(self) -> str:
-        runs = self._runs_requested
-        done = min(self._done, runs) if runs else self._done
-        frac = done / runs if runs else 0.0
-        width = 20
-        filled = int(round(width * frac))
-        bar = "#" * filled + "." * (width - filled)
-        elapsed = max(self._now() - self._cell_started, 1e-9)
-        executed = self._done - self._resumed
-        rate = executed / elapsed
-        if rate > 0 and runs:
-            remaining = max(runs - self._done, 0)
-            eta = f"ETA {remaining / rate:5.0f}s"
-        else:
-            eta = "ETA --"
-        cells = (f"  cell {self.cells_done + 1}"
-                 + (f"/{self.total_cells}" if self.total_cells else ""))
-        return (f"campaign {self._cell}  [{bar}]  {done}/{runs} "
-                f"({frac:5.1%})  {rate:6.1f} runs/s  {eta}{cells}")
-
-    def render(self) -> str:
-        """The current status block (three lines)."""
-        return "\n".join([self._progress_line(), self._avm_line(),
-                          self._health_line()])
-
-    def _draw(self, force: bool = False, final: bool = False) -> None:
-        now = self._now()
+    def _draw(self, snap: StateSnapshot, force: bool = False,
+              final: bool = False) -> None:
         min_gap = self.interval if self.use_ansi else self.log_interval
-        if not force and now - self._last_draw < min_gap:
+        if not force and snap.now - self._last_draw < min_gap:
             return
-        self._last_draw = now
-        block = self.render()
+        self._last_draw = snap.now
+        block = self.render(snap)
         if self.use_ansi:
             if self._drawn_lines:
                 # Move back to the top of the previous block and clear
@@ -191,45 +127,27 @@ class CampaignMonitor:
         self.stream.flush()
 
 
-class MonitorMux:
-    """Fan the executor's monitor hooks out to several observers.
+def _avm_line(cell) -> str:
+    tallies = cell.outcomes
+    parts = "  ".join(f"{name} {tallies.get(name, 0)}"
+                      for name in OUTCOME_ORDER)
+    extras = sum(n for name, n in tallies.items()
+                 if name not in OUTCOME_ORDER)
+    if extras:
+        parts += f"  other {extras}"
+    if not cell.done:
+        return f"  outcomes: {parts}   AVM --"
+    est = cell.avm
+    return (f"  outcomes: {parts}   "
+            f"AVM {est.avm:6.1%} ±{est.half_width:5.1%} (95% CI)")
 
-    The executor accepts exactly one ``monitor`` object; the control
-    plane wants several (terminal monitor, metrics adapter, status
-    board, trajectory recorder) listening to the same run stream.  The
-    mux forwards each hook to every observer in registration order and
-    is itself hook-shaped, so the executor cannot tell the difference.
-    ``None`` observers are skipped at construction so call sites can
-    pass optional pieces unconditionally.
-    """
 
-    def __init__(self, *observers: Optional[Any]):
-        self.observers = [obs for obs in observers if obs is not None]
-
-    def __bool__(self) -> bool:
-        return bool(self.observers)
-
-    def begin_cell(self, workload: str, model: str, point: str,
-                   runs: int, resumed: int = 0) -> None:
-        for obs in self.observers:
-            obs.begin_cell(workload, model, point, runs, resumed=resumed)
-
-    def on_run(self, record: Any, stats: Optional[Any] = None) -> None:
-        for obs in self.observers:
-            obs.on_run(record, stats)
-
-    def end_cell(self, result: Any) -> None:
-        for obs in self.observers:
-            obs.end_cell(result)
-
-    def on_stop(self, decision: Any) -> None:
-        # Optional hook: observers that predate adaptive sampling (or
-        # third-party ones) simply don't implement it.
-        for obs in self.observers:
-            hook = getattr(obs, "on_stop", None)
-            if hook is not None:
-                hook(decision)
-
-    def close(self) -> None:
-        for obs in self.observers:
-            obs.close()
+def _health_line(health) -> str:
+    if health is None:
+        return "  executor: serial, no events"
+    workers = health["pool_size"]
+    mode = f"{workers} workers" if workers else "serial"
+    return (f"  executor: {mode}  retries {health['retries']}  "
+            f"watchdog {health['watchdog_kills']}  "
+            f"harness-err {health['harness_errors']}  "
+            f"restarts {health['worker_restarts']}")

@@ -1,23 +1,21 @@
-"""Shared running-AVM statistics for every campaign observer.
+"""Running-AVM statistics behind every campaign view.
 
-The monitor, the CI-trajectory recorder, the HTML report and the HTTP
-status board all answer the same question — "given the outcome tallies
-so far, what is the AVM and how tight is its 95 % Wilson interval?" —
-so the computation lives here once.
+Every view answers the same question — "given the outcome tallies so
+far, what is the AVM and how tight is its 95 % Wilson interval?" — and
+the campaign state answers it here, once.
 
 Semantics follow the paper: the Architectural Vulnerability Metric is
 the non-masked fraction of runs, where non-masked means SDC, Crash or
 Timeout.  Intervals come from :func:`repro.utils.stats.wilson_interval`
 (the same score interval behind the paper's 1068-runs-per-cell sizing);
 zero-run cells degrade gracefully to an all-zero estimate instead of
-raising, because live observers start polling before the first run
-lands.
+raising, because live views render before the first run lands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping
 
 from repro.utils.stats import wilson_interval
 
@@ -27,7 +25,6 @@ __all__ = [
     "AvmEstimate",
     "avm_estimate",
     "non_masked_count",
-    "wilson_ci",
 ]
 
 #: Outcome display order (matches the paper's category order).
@@ -35,20 +32,6 @@ OUTCOME_ORDER = ("Masked", "SDC", "Crash", "Timeout")
 
 #: Outcomes that count toward the AVM numerator.
 NON_MASKED_OUTCOMES = ("SDC", "Crash", "Timeout")
-
-
-def wilson_ci(successes: int, trials: int,
-              confidence: float = 0.95) -> Tuple[float, float]:
-    """Wilson score interval, defined as ``(0.0, 0.0)`` at zero trials.
-
-    A thin totalising wrapper over
-    :func:`repro.utils.stats.wilson_interval`, which raises on empty
-    samples; live observers need the degenerate case to render "no data
-    yet" without special-casing every call site.
-    """
-    if trials <= 0:
-        return (0.0, 0.0)
-    return wilson_interval(successes, trials, confidence)
 
 
 def non_masked_count(tallies: Mapping[str, int]) -> int:
@@ -94,6 +77,6 @@ def avm_estimate(non_masked: int, runs: int,
     """Point estimate + Wilson CI for ``non_masked`` failures in ``runs``."""
     if runs <= 0:
         return AvmEstimate(0, 0, 0.0, 0.0, 0.0, confidence)
-    lo, hi = wilson_ci(non_masked, runs, confidence)
+    lo, hi = wilson_interval(non_masked, runs, confidence)
     return AvmEstimate(runs, non_masked, non_masked / runs, lo, hi,
                        confidence)

@@ -1,30 +1,30 @@
-"""CI-trajectory recorder: how fast each cell's AVM estimate converges.
+"""CI trajectory: how fast each cell's AVM estimate converges.
 
 The paper sizes every campaign cell at 1068 runs for a ±3 % Wilson
-margin; adaptive sampling (ROADMAP item 3) wants to stop earlier when a
-cell converges sooner.  This module records the data that decision
-needs: after each classified run (subsampled by ``stride``) it appends a
+margin; adaptive sampling wants to stop earlier when a cell converges
+sooner.  :class:`TrajectoryRecorder` is the campaign-state view that
+records the data that decision needs: after each classified run a
 ``(cell, runs_done, avm, ci_lo, ci_hi, wall_s)`` point, building the
 confidence-interval trajectory of every cell.
 
 Points are framed JSONL records (``type: "trajectory"``), either on
 their own stream file or interleaved into an existing telemetry trace
-via any sink with an ``emit`` method.  The recorder implements the
-executor's monitor hook protocol, so it multiplexes with the terminal
-monitor and the HTTP status board through
-:class:`~repro.observe.monitor.MonitorMux`; like them it is a pure
-observer — no RNG, no campaign state, bit-identical outcomes.
+via any sink with an ``emit`` method.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.observe.stats import avm_estimate, non_masked_count
+from repro.observe.state import (
+    CellEnded,
+    RunClassified,
+    StateSnapshot,
+    StopDecided,
+)
 
 __all__ = [
     "POINT_TYPE",
@@ -93,21 +93,19 @@ class TrajectoryPoint:
 
 
 class TrajectoryRecorder:
-    """Executor monitor hook that streams CI-trajectory points.
+    """Campaign-state view that streams CI-trajectory points.
 
+    One point per classified run, one at an adaptive cell's stop
+    decision and one from the authoritative counts at the cell's end.
     ``path`` opens a dedicated JSONL stream (first line is a ``meta``
     header); ``sink`` reuses an existing emitting sink (e.g. the
     telemetry :class:`~repro.telemetry.sinks.JsonlSink`) instead.
-    ``stride`` subsamples: a point lands every ``stride`` runs plus
-    always on the final run of a cell.  Points are also kept in memory
-    (per cell) for the ``/trajectory`` endpoint and the HTML report.
+    Points are also kept in memory for the ``/trajectory`` endpoint and
+    the HTML report.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None,
-                 sink: Optional[Any] = None, stride: int = 1,
-                 now=time.monotonic):
-        self._now = now
-        self.stride = max(1, int(stride))
+                 sink: Optional[Any] = None):
         self.points: List[TrajectoryPoint] = []
         self._sink = sink
         self._fh = None
@@ -117,75 +115,35 @@ class TrajectoryRecorder:
             self._fh = open(path, "w", encoding="utf-8")
             self._write({"type": "meta", "trace": "repro-trajectory",
                          "version": 1})
-        self._cell: Optional[str] = None
-        self._runs_requested = 0
-        self._done = 0
-        self._resumed = 0
-        self._tallies: Dict[str, int] = {}
-        self._cell_started = 0.0
 
-    # -- executor hooks -------------------------------------------------------
-    def begin_cell(self, workload: str, model: str, point: str,
-                   runs: int, resumed: int = 0) -> None:
-        self._cell = f"{workload}/{model}/{point}"
-        self._runs_requested = runs
-        self._done = resumed
-        self._resumed = resumed
-        self._tallies = {}
-        self._cell_started = self._now()
-
-    def on_run(self, record: Any, stats: Optional[Any] = None) -> None:
-        self._done += 1
-        outcome = getattr(record, "outcome", str(record))
-        self._tallies[outcome] = self._tallies.get(outcome, 0) + 1
-        executed = self._done - self._resumed
-        if (executed % self.stride == 0
-                or self._done >= self._runs_requested):
-            self._emit_point()
-
-    def on_stop(self, decision: Any) -> None:
-        """Record the stop decision as its own trajectory point.
-
-        Fires even when the stop lands between strides — the decision
-        point is the most important sample of an adaptive trajectory
-        and must never be subsampled away.  The interval recorded is
-        the decision's own (anytime-valid, look-corrected) interval,
-        not the plain running Wilson CI of ordinary points.
-        """
-        self._append(TrajectoryPoint(
-            cell=self._cell or "?", runs_done=int(decision.n),
-            avm=float(decision.avm), ci_lo=float(decision.ci_lo),
-            ci_hi=float(decision.ci_hi),
-            wall_s=self._now() - self._cell_started,
-            stop_rule=str(decision.rule),
-            stop_target=float(decision.target)))
-
-    def end_cell(self, result: Any) -> None:
-        # Final point from the authoritative cell counts when available
-        # (covers resumed runs the live hooks never saw).
-        counts = getattr(result, "counts", None)
-        if counts is not None and getattr(counts, "total", 0):
-            est = avm_estimate(counts.non_masked, counts.total)
+    # -- state view -----------------------------------------------------------
+    def update(self, event: Any, snap: StateSnapshot) -> None:
+        if isinstance(event, StopDecided):
+            # The interval recorded is the decision's own (anytime-valid,
+            # look-corrected) interval, not the plain running Wilson CI
+            # of ordinary points.
+            decision, cell = event.decision, snap.cells[-1]
             self._append(TrajectoryPoint(
-                cell=self._cell or "?", runs_done=counts.total,
-                avm=est.avm, ci_lo=est.ci_lo, ci_hi=est.ci_hi,
-                wall_s=self._now() - self._cell_started))
-        elif self._done:
-            self._emit_point()
-        self._cell = None
+                cell=cell.cell, runs_done=int(decision.n),
+                avm=float(decision.avm), ci_lo=float(decision.ci_lo),
+                ci_hi=float(decision.ci_hi),
+                wall_s=snap.now - cell.started_s,
+                stop_rule=str(decision.rule),
+                stop_target=float(decision.target)))
+        elif (isinstance(event, (RunClassified, CellEnded))
+              and snap.cells[-1].done):
+            cell = snap.cells[-1]
+            est = cell.avm
+            self._append(TrajectoryPoint(
+                cell=cell.cell, runs_done=cell.done, avm=est.avm,
+                ci_lo=est.ci_lo, ci_hi=est.ci_hi,
+                wall_s=snap.now - cell.started_s))
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
 
     # -- emission -------------------------------------------------------------
-    def _emit_point(self) -> None:
-        est = avm_estimate(non_masked_count(self._tallies), self._done)
-        self._append(TrajectoryPoint(
-            cell=self._cell or "?", runs_done=self._done, avm=est.avm,
-            ci_lo=est.ci_lo, ci_hi=est.ci_hi,
-            wall_s=self._now() - self._cell_started))
-
     def _append(self, point: TrajectoryPoint) -> None:
         self.points.append(point)
         payload = point.to_dict()
@@ -197,10 +155,6 @@ class TrajectoryRecorder:
     def _write(self, payload: Dict[str, Any]) -> None:
         self._fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
         self._fh.flush()
-
-    def by_cell(self) -> Dict[str, List[TrajectoryPoint]]:
-        """The in-memory points grouped by cell, in arrival order."""
-        return points_by_cell(self.points)
 
 
 def points_by_cell(points: List[TrajectoryPoint]

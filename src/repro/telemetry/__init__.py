@@ -59,7 +59,6 @@ from repro.telemetry.core import (
     set_trace_context,
 )
 from repro.telemetry.export import render_prometheus
-from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry, Summary
 from repro.telemetry.sinks import (
     JsonlSink,
     read_trace,
@@ -71,13 +70,9 @@ from repro.telemetry.sinks import (
 
 __all__ = [
     "Collector",
-    "Counter",
-    "Gauge",
     "JsonlSink",
-    "MetricsRegistry",
     "SpanRecord",
     "Stat",
-    "Summary",
     "TraceContext",
     "clear_trace_context",
     "count",

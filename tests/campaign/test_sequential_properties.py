@@ -33,7 +33,7 @@ from repro.campaign.adaptive import (
     look_schedule,
     weighted_estimates,
 )
-from repro.observe.stats import wilson_ci
+from repro.utils.stats import wilson_interval
 
 from tests.conftest import POINTS
 
@@ -85,7 +85,7 @@ class TestLookSchedule:
 
 class TestAnytimeInterval:
     def test_one_look_is_plain_wilson(self):
-        assert anytime_wilson_ci(3, 10, 0.95, looks=1) == wilson_ci(
+        assert anytime_wilson_ci(3, 10, 0.95, looks=1) == wilson_interval(
             3, 10, 0.95)
 
     @given(looks=st.integers(1, 50))

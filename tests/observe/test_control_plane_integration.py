@@ -1,8 +1,8 @@
 """Integration tests for the live control plane and trace stitching.
 
-Drives real multi-worker campaigns with the full observer stack
-(metrics adapter + status board + trajectory recorder behind a
-MonitorMux, scraped over an ephemeral HTTP port) and proves the two
+Drives real multi-worker campaigns with the full observability stack
+(a campaign state with its trajectory view in the executor's monitor
+slot, scraped over an ephemeral HTTP port) and proves the two
 load-bearing properties: the documented series are served, and an
 observed campaign is bit-identical to an unobserved one.
 """
@@ -16,13 +16,8 @@ from repro import telemetry
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
 from repro.campaign.journal import canonical_journal
 from repro.circuit.liberty import VR20
-from repro.observe import MonitorMux, TrajectoryRecorder
-from repro.observe.httpd import (
-    CampaignMetrics,
-    ControlPlane,
-    StatusBoard,
-)
-from repro.telemetry.metrics import MetricsRegistry
+from repro.observe import CampaignState, TrajectoryRecorder
+from repro.observe.httpd import ControlPlane
 from repro.telemetry.sinks import read_trace, spans_for_run
 
 
@@ -44,14 +39,13 @@ class TestServedCampaign:
             self, tiny_runners, wa_models):
         runner = tiny_runners["kmeans"]
         model = wa_models["kmeans"]
-        registry = MetricsRegistry()
-        board = StatusBoard()
-        board.begin_campaign("kmeans", 11, cells_total=1)
         trajectory = TrajectoryRecorder()
-        mux = MonitorMux(CampaignMetrics(registry), board, trajectory)
+        state = CampaignState("kmeans", 11, cells_total=1,
+                              views=[trajectory])
         config = ExecutorConfig(workers=2, wall_clock_timeout=60.0)
-        with ControlPlane(registry, board, trajectory, port=0) as plane:
-            with CampaignExecutor(runner, config, monitor=mux) as executor:
+        with ControlPlane(state, trajectory.points, port=0) as plane:
+            with CampaignExecutor(runner, config,
+                                  monitor=state) as executor:
                 result = executor.run_cell(model, VR20, runs=12)
 
             metrics = _get(plane.port, "/metrics")
@@ -156,13 +150,11 @@ class TestObservabilityIsInert:
         model = wa_models["sobel"]
         plain = runner.campaign(model, VR20, runs=8)
 
-        registry = MetricsRegistry()
-        board = StatusBoard()
         trajectory = TrajectoryRecorder()
-        mux = MonitorMux(CampaignMetrics(registry), board, trajectory)
-        with ControlPlane(registry, board, trajectory, port=0):
+        state = CampaignState(views=[trajectory])
+        with ControlPlane(state, trajectory.points, port=0):
             observed = CampaignExecutor(
-                runner, ExecutorConfig(), monitor=mux).run_cell(
+                runner, ExecutorConfig(), monitor=state).run_cell(
                     model, VR20, runs=8)
         assert observed.counts.counts == plain.counts.counts
         assert observed.counts.avm == plain.counts.avm

@@ -1,4 +1,4 @@
-"""Tests for the HTTP control plane: adapters, status board, endpoints."""
+"""Tests for the HTTP control plane: campaign families, status, endpoints."""
 
 import json
 import urllib.error
@@ -7,23 +7,27 @@ import urllib.request
 import pytest
 
 from repro.campaign.executor import CellStats
-from repro.campaign.journal import RunRecord
+from repro.campaign.journal import RunJournal, RunRecord
 from repro.campaign.outcomes import Outcome, OutcomeCounts
 from repro.campaign.runner import CampaignResult
 from repro.observe.httpd import (
     STATUS_VERSION,
-    CampaignMetrics,
     ControlPlane,
-    StatusBoard,
-    board_from_results,
-    registry_from_results,
+    campaign_families,
+    status_document,
+)
+from repro.observe.state import (
+    CampaignState,
+    CellBegun,
+    CellEnded,
+    RunClassified,
+    ShardStatus,
 )
 from repro.observe.trajectory import TrajectoryRecorder
-from repro.telemetry.metrics import MetricsRegistry
 
 
-def _record(outcome="Masked", run_index=0, wall_ms=2.0):
-    return RunRecord(workload="w", model="WA", point="VR15",
+def _record(outcome="Masked", run_index=0, wall_ms=2.0, point="VR15"):
+    return RunRecord(workload="w", model="WA", point=point,
                      run_index=run_index, outcome=outcome,
                      wall_ms=wall_ms)
 
@@ -44,69 +48,85 @@ def _result(counts=None, point="VR15"):
                           stats=_stats(runs=oc.total, executed=oc.total))
 
 
-def _drive_cell(observer, outcomes, runs=None):
+def _drive_cell(state, outcomes, runs=None):
     runs = runs if runs is not None else len(outcomes)
-    observer.begin_cell("w", "WA", "VR15", runs=runs)
+    state.apply(CellBegun("w", "WA", "VR15", runs=runs))
     for i, outcome in enumerate(outcomes):
-        observer.on_run(_record(outcome, i), _stats(runs=runs))
+        state.apply(RunClassified(_record(outcome, i), _stats(runs=runs)))
+
+
+def _families(state):
+    """name -> {label values: sample} of the state's /metrics families."""
+    return {f.name: f.samples for f in campaign_families(state.snapshot())}
+
+
+def _write_journal(path, results):
+    """A journal holding ``results``' runs and cell summaries."""
+    with RunJournal.open(path, seed=7) as journal:
+        for result in results:
+            index = 0
+            for outcome, n in result.counts.counts.items():
+                for _ in range(n):
+                    journal.record_run(_record(outcome.value, index,
+                                               point=result.point))
+                    index += 1
+            journal.record_cell(result)
+    return path
 
 
 class TestCampaignMetrics:
     def test_run_and_outcome_counters(self):
-        reg = MetricsRegistry()
-        adapter = CampaignMetrics(reg)
-        _drive_cell(adapter, ["Masked", "SDC", "Masked"])
-        assert reg.counter("repro_campaign_runs_total").value() == 3
-        outcomes = reg.counter("repro_campaign_outcome_total",
-                               labels=("outcome",))
-        assert outcomes.value(outcome="Masked") == 2
-        assert outcomes.value(outcome="SDC") == 1
+        state = CampaignState()
+        _drive_cell(state, ["Masked", "SDC", "Masked"])
+        fams = _families(state)
+        assert fams["repro_campaign_runs_total"] == {(): 3}
+        outcomes = fams["repro_campaign_outcome_total"]
+        assert outcomes[("Masked",)] == 2
+        assert outcomes[("SDC",)] == 1
 
     def test_avm_gauges_track_running_estimate(self):
-        reg = MetricsRegistry()
-        adapter = CampaignMetrics(reg)
-        _drive_cell(adapter, ["Masked", "SDC", "Masked", "Masked"])
-        avm = reg.gauge("repro_campaign_avm", labels=("cell",))
-        assert avm.value(cell="w/WA/VR15") == 0.25
-        half = reg.gauge("repro_campaign_avm_ci_halfwidth",
-                         labels=("cell",))
-        assert half.value(cell="w/WA/VR15") > 0
+        state = CampaignState()
+        _drive_cell(state, ["Masked", "SDC", "Masked", "Masked"])
+        fams = _families(state)
+        assert fams["repro_campaign_avm"][("w/WA/VR15",)] == 0.25
+        assert fams["repro_campaign_avm_ci_halfwidth"][("w/WA/VR15",)] > 0
 
     def test_resumed_runs_counted_once(self):
-        reg = MetricsRegistry()
-        adapter = CampaignMetrics(reg)
-        adapter.begin_cell("w", "WA", "VR15", runs=10, resumed=6)
-        adapter.on_run(_record("Masked"), _stats())
-        assert reg.counter("repro_campaign_runs_total").value() == 7
+        state = CampaignState()
+        state.apply(CellBegun("w", "WA", "VR15", runs=10,
+                              resumed={"Masked": 6}))
+        state.apply(RunClassified(_record("Masked"), _stats()))
+        fams = _families(state)
+        assert fams["repro_campaign_runs_total"] == {(): 7}
+        assert fams["repro_campaign_outcome_total"] == {("Masked",): 7}
 
     def test_stats_totals_pinned_not_double_counted(self):
-        reg = MetricsRegistry()
-        adapter = CampaignMetrics(reg)
-        adapter.begin_cell("w", "WA", "VR15", runs=2)
+        state = CampaignState()
+        state.apply(CellBegun("w", "WA", "VR15", runs=2))
         stats = _stats(retries=3, watchdog_kills=1, worker_restarts=2)
-        adapter.on_run(_record("Masked", 0), stats)
-        adapter.on_run(_record("Masked", 1), stats)  # same totals again
-        retries = reg.counter("repro_campaign_retries_total",
-                              labels=("cell",))
-        assert retries.value(cell="w/WA/VR15") == 3
+        state.apply(RunClassified(_record("Masked", 0), stats))
+        state.apply(RunClassified(_record("Masked", 1), stats))  # again
+        fams = _families(state)
+        assert fams["repro_campaign_retries_total"] == {("w/WA/VR15",): 3}
+        assert fams["repro_campaign_watchdog_kills_total"] == {
+            ("w/WA/VR15",): 1}
+        assert fams["repro_worker_restarts_total"] == {("w/WA/VR15",): 2}
 
     def test_worker_alive_lifecycle(self):
-        reg = MetricsRegistry()
-        adapter = CampaignMetrics(reg)
-        _drive_cell(adapter, ["Masked"])
-        alive = reg.gauge("repro_worker_alive")
-        assert alive.value() == 2
-        adapter.close()
-        assert alive.value() == 0
+        state = CampaignState()
+        _drive_cell(state, ["Masked"])
+        assert _families(state)["repro_worker_alive"] == {(): 2}
+        state.close()
+        assert _families(state)["repro_worker_alive"] == {(): 0}
 
     def test_end_cell_pins_final_avm_and_counts_cells(self):
-        reg = MetricsRegistry()
-        adapter = CampaignMetrics(reg)
-        _drive_cell(adapter, ["Masked", "SDC"])
-        adapter.end_cell(_result({"Masked": 3, "SDC": 1}))
-        avm = reg.gauge("repro_campaign_avm", labels=("cell",))
-        assert avm.value(cell="w/WA/VR15") == 0.25
-        assert reg.counter("repro_campaign_cells_total").value() == 1
+        state = CampaignState()
+        _drive_cell(state, ["Masked", "SDC"])
+        state.apply(CellEnded(_result({"Masked": 3, "SDC": 1})))
+        fams = _families(state)
+        assert fams["repro_campaign_avm"][("w/WA/VR15",)] == 0.25
+        assert fams["repro_campaign_cell_done"][("w/WA/VR15",)] == 4
+        assert fams["repro_campaign_cells_total"] == {(): 1}
 
 
 STATUS_KEYS = {"service", "version", "campaign", "port", "uptime_s",
@@ -116,11 +136,10 @@ STATUS_KEYS = {"service", "version", "campaign", "port", "uptime_s",
 
 class TestStatusBoard:
     def test_snapshot_schema(self):
-        board = StatusBoard()
-        board.begin_campaign("kmeans", 2021, cells_total=2,
-                             extra={"scale": "tiny"})
-        _drive_cell(board, ["Masked", "SDC"])
-        doc = board.snapshot()
+        state = CampaignState("kmeans", 2021, cells_total=2,
+                              extra={"scale": "tiny"})
+        _drive_cell(state, ["Masked", "SDC"])
+        doc = status_document(state.snapshot())
         assert set(doc) == STATUS_KEYS
         assert doc["service"] == "repro-control-plane"
         assert doc["version"] == STATUS_VERSION
@@ -136,19 +155,19 @@ class TestStatusBoard:
         json.dumps(doc)  # must be JSON-serialisable
 
     def test_update_shards_lands_in_snapshot(self):
-        board = StatusBoard()
-        board.update_shards({"items": 4, "done": 1, "in_flight": 2,
-                             "shards": {"0": {"items": 2, "done": 1}}})
-        doc = board.snapshot()
+        state = CampaignState()
+        state.apply(ShardStatus({"items": 4, "done": 1, "in_flight": 2,
+                                 "shards": {"0": {"items": 2, "done": 1}}}))
+        doc = status_document(state.snapshot())
         assert doc["shards"]["items"] == 4
         assert doc["shards"]["shards"]["0"]["done"] == 1
         json.dumps(doc)
 
     def test_end_cell_moves_current_to_cells(self):
-        board = StatusBoard()
-        _drive_cell(board, ["Masked", "SDC", "Masked", "Masked"])
-        board.end_cell(_result())
-        doc = board.snapshot()
+        state = CampaignState()
+        _drive_cell(state, ["Masked", "SDC", "Masked", "Masked"])
+        state.apply(CellEnded(_result()))
+        doc = status_document(state.snapshot())
         assert doc["current_cell"] is None
         assert doc["cells_done"] == 1
         [cell] = doc["cells"]
@@ -158,18 +177,20 @@ class TestStatusBoard:
         assert cell["degraded"] is False
 
     def test_close_marks_finished_and_workers_dead(self):
-        board = StatusBoard()
-        _drive_cell(board, ["Masked"])
-        board.close()
-        doc = board.snapshot()
+        state = CampaignState()
+        _drive_cell(state, ["Masked"])
+        state.close()
+        doc = status_document(state.snapshot())
         assert doc["finished"] is True
         assert doc["workers"]["alive"] == 0
 
-    def test_board_from_results_replays_journal_shape(self):
-        board = board_from_results(
-            [_result(point="VR15"), _result(point="VR20")],
-            benchmark="kmeans")
-        doc = board.snapshot()
+    def test_board_from_results_replays_journal_shape(self, tmp_path):
+        """A journal replays into the same /status shape a live
+        campaign serves."""
+        journal = _write_journal(tmp_path / "j.jsonl", [
+            _result(point="VR15"), _result(point="VR20")])
+        state = CampaignState.replay(journal, benchmark="kmeans")
+        doc = status_document(state.snapshot())
         assert set(doc) == STATUS_KEYS
         assert doc["finished"] is True
         assert doc["runs_done"] == 8
@@ -178,13 +199,13 @@ class TestStatusBoard:
         assert doc["campaign"]["seed"] == 7
         assert doc["avm"]["avm"] == 0.25
 
-    def test_registry_from_results(self):
-        reg = registry_from_results([_result()])
-        assert reg.counter("repro_campaign_runs_total").value() == 4
-        outcomes = reg.counter("repro_campaign_outcome_total",
-                               labels=("outcome",))
-        assert outcomes.value(outcome="SDC") == 1
-        assert reg.counter("repro_campaign_cells_total").value() == 1
+    def test_registry_from_results(self, tmp_path):
+        """A journal replays into the same /metrics families."""
+        journal = _write_journal(tmp_path / "j.jsonl", [_result()])
+        fams = _families(CampaignState.replay(journal))
+        assert fams["repro_campaign_runs_total"] == {(): 4}
+        assert fams["repro_campaign_outcome_total"][("SDC",)] == 1
+        assert fams["repro_campaign_cells_total"] == {(): 1}
 
 
 def _get(port, path):
@@ -196,14 +217,11 @@ def _get(port, path):
 
 @pytest.fixture()
 def plane():
-    reg = MetricsRegistry()
-    adapter = CampaignMetrics(reg)
-    board = StatusBoard()
-    board.begin_campaign("kmeans", 2021, cells_total=1)
     trajectory = TrajectoryRecorder()
-    for observer in (adapter, board, trajectory):
-        _drive_cell(observer, ["Masked", "SDC", "Masked", "Masked"])
-    plane = ControlPlane(reg, board, trajectory, port=0)
+    state = CampaignState("kmeans", 2021, cells_total=1,
+                          views=[trajectory])
+    _drive_cell(state, ["Masked", "SDC", "Masked", "Masked"])
+    plane = ControlPlane(state, trajectory.points, port=0)
     plane.start()
     yield plane
     plane.close()

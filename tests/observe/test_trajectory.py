@@ -1,13 +1,21 @@
-"""Tests for the CI-trajectory recorder and its HTML report section."""
+"""Tests for the CI-trajectory view and its HTML report section."""
 
 import json
 
 import pytest
 
+from repro.campaign.adaptive import StopDecision
 from repro.campaign.executor import CellStats
 from repro.campaign.journal import RunRecord
 from repro.campaign.outcomes import Outcome, OutcomeCounts
 from repro.campaign.runner import CampaignResult
+from repro.observe.state import (
+    CampaignState,
+    CellBegun,
+    CellEnded,
+    RunClassified,
+    StopDecided,
+)
 from repro.observe.stats import avm_estimate
 from repro.observe.trajectory import (
     TrajectoryPoint,
@@ -40,33 +48,35 @@ def _result(counts, workload="w", point="VR15"):
                           stats=CellStats(runs=oc.total, executed=oc.total))
 
 
-def _drive(recorder, outcomes, runs=None, resumed=0):
-    runs = len(outcomes) + resumed if runs is None else runs
-    recorder.begin_cell("w", "WA", "VR15", runs=runs, resumed=resumed)
+def _state(recorder, clock=None):
+    return CampaignState(views=[recorder],
+                         **({"now": clock} if clock else {}))
+
+
+def _drive(recorder, outcomes, runs=None, clock=None):
+    """A state feeding ``recorder`` one cell of ``outcomes``."""
+    state = _state(recorder, clock)
+    runs = len(outcomes) if runs is None else runs
+    state.apply(CellBegun("w", "WA", "VR15", runs=runs))
     for i, outcome in enumerate(outcomes):
-        recorder.on_run(_record(outcome, i), CellStats(runs=runs))
+        state.apply(RunClassified(_record(outcome, i), CellStats(runs=runs)))
+    return state
 
 
 class TestRecorder:
     def test_one_point_per_run_at_stride_one(self):
-        clock = _Clock()
-        recorder = TrajectoryRecorder(now=clock)
+        recorder = TrajectoryRecorder()
         _drive(recorder, ["Masked", "SDC", "Masked"])
         assert [p.runs_done for p in recorder.points] == [1, 2, 3]
         assert recorder.points[1].avm == 0.5
         assert recorder.points[1].ci_lo < 0.5 < recorder.points[1].ci_hi
 
-    def test_stride_subsamples_but_final_run_always_lands(self):
-        recorder = TrajectoryRecorder(stride=4)
-        _drive(recorder, ["Masked"] * 10)
-        assert [p.runs_done for p in recorder.points] == [4, 8, 10]
-
     def test_end_cell_appends_authoritative_point(self):
         recorder = TrajectoryRecorder()
-        _drive(recorder, ["Masked", "SDC"])
-        # The cell actually finished with more runs than the live hooks
-        # saw (e.g. journal-resumed): the final point uses the counts.
-        recorder.end_cell(_result({"Masked": 3, "SDC": 1}))
+        state = _drive(recorder, ["Masked", "SDC"])
+        # The cell actually finished with more runs than the run events
+        # showed: the final point uses the result's counts.
+        state.apply(CellEnded(_result({"Masked": 3, "SDC": 1})))
         final = recorder.points[-1]
         assert final.runs_done == 4
         assert final.avm == 0.25
@@ -75,19 +85,20 @@ class TestRecorder:
 
     def test_wall_s_measures_from_cell_start(self):
         clock = _Clock()
-        recorder = TrajectoryRecorder(now=clock)
-        recorder.begin_cell("w", "WA", "VR15", runs=2)
+        recorder = TrajectoryRecorder()
+        state = _state(recorder, clock)
+        state.apply(CellBegun("w", "WA", "VR15", runs=2))
         clock.t += 1.5
-        recorder.on_run(_record("Masked", 0))
+        state.apply(RunClassified(_record("Masked", 0)))
         assert recorder.points[-1].wall_s == 1.5
 
     def test_points_group_by_cell(self):
         recorder = TrajectoryRecorder()
-        _drive(recorder, ["Masked"])
-        recorder.end_cell(_result({"Masked": 1}))
-        recorder.begin_cell("w", "WA", "VR20", runs=1)
-        recorder.on_run(_record("SDC", 0))
-        grouped = recorder.by_cell()
+        state = _drive(recorder, ["Masked"])
+        state.apply(CellEnded(_result({"Masked": 1})))
+        state.apply(CellBegun("w", "WA", "VR20", runs=1))
+        state.apply(RunClassified(_record("SDC", 0)))
+        grouped = points_by_cell(recorder.points)
         assert set(grouped) == {"w/WA/VR15", "w/WA/VR20"}
 
     def test_half_width_property(self):
@@ -100,9 +111,9 @@ class TestStreamRoundTrip:
     def test_jsonl_file_roundtrip(self, tmp_path):
         path = tmp_path / "traj.jsonl"
         recorder = TrajectoryRecorder(path=path)
-        _drive(recorder, ["Masked", "SDC"])
-        recorder.end_cell(_result({"Masked": 1, "SDC": 1}))
-        recorder.close()
+        state = _drive(recorder, ["Masked", "SDC"])
+        state.apply(CellEnded(_result({"Masked": 1, "SDC": 1})))
+        state.close()
 
         lines = path.read_text().strip().splitlines()
         meta = json.loads(lines[0])
@@ -141,32 +152,25 @@ class TestStreamRoundTrip:
         assert [p.runs_done for p in grouped["a"]] == [1, 2]
 
 
-class _Decision:
-    """StopDecision-shaped stub for the recorder's on_stop hook."""
-
-    def __init__(self, n=3, avm=1 / 3, rule="ci-target", target=0.1):
-        from repro.observe.stats import avm_estimate
-
-        est = avm_estimate(int(round(avm * n)), n)
-        self.n = n
-        self.avm = avm
-        self.ci_lo = est.ci_lo
-        self.ci_hi = est.ci_hi
-        self.rule = rule
-        self.target = target
+def _decision(n=3, avm=1 / 3, rule="ci-target", target=0.1):
+    est = avm_estimate(int(round(avm * n)), n)
+    return StopDecision(rule=rule, n=n, budget=16,
+                        non_masked=int(round(avm * n)), avm=avm,
+                        ci_lo=est.ci_lo, ci_hi=est.ci_hi, target=target,
+                        confidence=0.95, looks=1)
 
 
 class TestStopProvenance:
     def test_on_stop_records_point_even_between_strides(self):
-        """The stop decision must land in the trajectory even when it
-        falls between stride samples — it is the one point the
-        differential harness reads back."""
-        recorder = TrajectoryRecorder(stride=4)
-        _drive(recorder, ["Masked", "SDC", "Masked"], runs=16)
-        assert recorder.points == []  # stride 4 swallowed all three
-        recorder.on_stop(_Decision(n=3, avm=1 / 3))
-        assert len(recorder.points) == 1
-        point = recorder.points[0]
+        """The stop decision lands as its own point after the per-run
+        ones — it is the one point the differential harness reads
+        back."""
+        recorder = TrajectoryRecorder()
+        state = _drive(recorder, ["Masked", "SDC", "Masked"], runs=16)
+        assert all(p.stop_rule is None for p in recorder.points)
+        state.apply(StopDecided(_decision(n=3, avm=1 / 3)))
+        assert len(recorder.points) == 4
+        point = recorder.points[-1]
         assert point.runs_done == 3
         assert point.stop_rule == "ci-target"
         assert point.stop_target == 0.1
@@ -184,10 +188,10 @@ class TestStopProvenance:
     def test_stop_point_roundtrips_through_jsonl(self, tmp_path):
         path = tmp_path / "traj.jsonl"
         recorder = TrajectoryRecorder(path=path)
-        _drive(recorder, ["Masked", "SDC", "Masked"])
-        recorder.on_stop(_Decision(n=3, avm=1 / 3, rule="budget",
-                                   target=0.03))
-        recorder.close()
+        state = _drive(recorder, ["Masked", "SDC", "Masked"])
+        state.apply(StopDecided(_decision(n=3, avm=1 / 3, rule="budget",
+                                          target=0.03)))
+        state.close()
         loaded = load_trajectory(path)
         assert loaded == recorder.points
         stops = [p for p in loaded if p.stop_rule is not None]
@@ -200,9 +204,9 @@ class TestStopProvenance:
         stop provenance already on disk."""
         path = tmp_path / "traj.jsonl"
         recorder = TrajectoryRecorder(path=path)
-        _drive(recorder, ["Masked", "SDC"])
-        recorder.on_stop(_Decision(n=2, avm=0.5))
-        recorder.close()
+        state = _drive(recorder, ["Masked", "SDC"])
+        state.apply(StopDecided(_decision(n=2, avm=0.5)))
+        state.close()
         with open(path, "a") as fh:
             fh.write('{"type": "trajectory", "cell": "torn')  # no newline
         loaded = load_trajectory(path)
@@ -222,7 +226,8 @@ class TestStopProvenance:
         runner.golden()
         recorder = TrajectoryRecorder()
         config = AdaptiveConfig(ci_target=0.28, min_runs=4, growth=1.5)
-        with CampaignExecutor(runner, monitor=recorder) as executor:
+        with CampaignExecutor(runner,
+                              monitor=_state(recorder)) as executor:
             result = executor.run_cell(wa_models["kmeans"], VR20,
                                        runs=16, adaptive=config)
         stop = result.stats.stop
