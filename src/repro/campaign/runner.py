@@ -28,6 +28,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+import numpy as np
+
 from repro.campaign.fastforward import FastForwardConfig, SnapshotStore
 from repro.campaign.journal import run_key
 from repro.campaign.outcomes import Outcome, OutcomeCounts
@@ -202,24 +204,28 @@ class CampaignRunner:
             record_trace=True, trace_cap=self.trace_cap
         )
         snapshots: Optional[SnapshotStore] = None
-        if self.fastforward.enabled and self.workload.checkpointable:
-            snapshots = SnapshotStore(
-                self.workload.name,
-                interval=self.fastforward.interval,
-                pages_factory=self.fastforward.make_pages)
-            try:
-                output = snapshots.build(self.workload, ctx)
-            except GuestFpException:
-                # The armed trap probe fired: the golden stream contains
-                # non-finite values, so the early exit is unsound.
-                # Rebuild cleanly on a fresh context with the probe off.
-                ctx = self.workload.make_context(
-                    record_trace=True, trace_cap=self.trace_cap
-                )
-                output = snapshots.build(self.workload, ctx,
-                                         trap_probe=False)
-        else:
-            output = self.workload.run(ctx)
+        # FP warnings are guest behaviour: silenced once per guest
+        # execution (FPContext enters no errstate of its own).
+        with np.errstate(all="ignore"):
+            if self.fastforward.enabled and self.workload.checkpointable:
+                snapshots = SnapshotStore(
+                    self.workload.name,
+                    interval=self.fastforward.interval,
+                    pages_factory=self.fastforward.make_pages)
+                try:
+                    output = snapshots.build(self.workload, ctx)
+                except GuestFpException:
+                    # The armed trap probe fired: the golden stream
+                    # contains non-finite values, so the early exit is
+                    # unsound.  Rebuild cleanly on a fresh context with
+                    # the probe off.
+                    ctx = self.workload.make_context(
+                        record_trace=True, trace_cap=self.trace_cap
+                    )
+                    output = snapshots.build(self.workload, ctx,
+                                             trap_probe=False)
+            else:
+                output = self.workload.run(ctx)
         profile = ctx.profile(self.workload.name, self.workload.ops_per_fp)
 
         mix = MIXES.get(self.workload.mix_name, MIXES["default"])
@@ -371,7 +377,8 @@ class CampaignRunner:
         if snapshots is None:
             telemetry.count("campaign.ff.full_replays")
         try:
-            with guest_watchdog(wall_clock_timeout):
+            with guest_watchdog(wall_clock_timeout), \
+                    np.errstate(all="ignore"):
                 if snapshots is not None:
                     observed = snapshots.run_injection(
                         self.workload, ctx, corruption, info=ff_info)

@@ -38,16 +38,25 @@ class GuestTimeout(Exception):
     """The guest exceeded 2x the error-free execution budget."""
 
 
-_BINARY_FNS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
+#: The FPContext hot-path table, read with one lookup per call:
+#: ``FpOp -> (dense index, ufunc, is_double)``.  The dense index keys the
+#: op counters, victims and trace buffers, so a call hashes no other enum
+#: member.  Conversions have no ufunc.
+_OPS: Tuple[FpOp, ...] = tuple(FpOp)
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide}
+_OP_TABLE = {op: (index, _UFUNCS.get(op.kind), op.is_double)
+             for index, op in enumerate(_OPS)}
+_F64 = np.dtype(np.float64)
 
 
 class FPContext:
-    """FP interposition layer between a guest algorithm and the FPU."""
+    """FP interposition layer between a guest algorithm and the FPU.
+
+    No ``np.errstate`` is entered per operation: ``CampaignRunner``
+    silences FP warnings once around each guest execution, and direct
+    callers see numpy's warnings.  ``corruption`` is read once, here.
+    """
 
     def __init__(
         self,
@@ -65,14 +74,21 @@ class FPContext:
         self.trap_nonfinite = trap_nonfinite
         self.sequence_cap = sequence_cap
 
-        self.counters: Dict[FpOp, int] = {op: 0 for op in FpOp}
         self.ops_executed = 0
         self.corrupted_events = 0
         self._armed = False  # a corruption has landed; start trap checks
-        self._trace_a: Dict[FpOp, List[np.ndarray]] = {}
-        self._trace_b: Dict[FpOp, List[np.ndarray]] = {}
-        self._trace_len: Dict[FpOp, int] = {}
+        self._counts: List[int] = [0] * len(_OPS)
+        self._victims = [self.corruption.get(op) for op in _OPS]
+        # Trace buffers keyed by dense index, in first-recorded order.
+        self._trace_a: Dict[int, List[np.ndarray]] = {}
+        self._trace_b: Dict[int, List[np.ndarray]] = {}
+        self._trace_len: Dict[int, int] = {}
         self.op_sequence: List[Tuple[FpOp, int]] = []  # run-length encoded
+
+    @property
+    def counters(self) -> Dict[FpOp, int]:
+        """Per-op dynamic instruction counts (a fresh dict per read)."""
+        return dict(zip(_OPS, self._counts))
 
     # -- public arithmetic API (double precision) ---------------------------------
     def add(self, a, b):
@@ -108,16 +124,20 @@ class FPContext:
 
     # Reductions built from the primitive stream.
     def sum(self, values):
-        """Sequential-tree sum through the FPU add stream."""
+        """Sequential-tree sum through the FPU add stream.
+
+        Each tree level is one ``add`` of the pairs it folds; an odd
+        element carries to the next level unchanged.
+        """
         arr = np.asarray(values, dtype=np.float64).ravel()
         while arr.size > 1:
             half = arr.size // 2
-            paired = self.add(arr[:half], arr[half:2 * half])
+            paired = self._binary_flat(FpOp.ADD_D, arr[:half],
+                                       arr[half:2 * half])
             if arr.size % 2:
-                arr = np.concatenate([np.atleast_1d(paired),
-                                      arr[2 * half:]])
+                arr = np.concatenate([paired, arr[2 * half:]])
             else:
-                arr = np.atleast_1d(paired)
+                arr = paired
         return float(arr[0]) if arr.size else 0.0
 
     def dot(self, a, b):
@@ -125,37 +145,35 @@ class FPContext:
         return self.sum(self.mul(a, b))
 
     # -- internals --------------------------------------------------------------
-    def _charge(self, op: FpOp, n: int) -> int:
-        start = self.counters[op]
-        self.counters[op] = start + n
+    def _charge(self, op: FpOp, index: int, n: int) -> int:
+        counts = self._counts
+        start = counts[index]
+        counts[index] = start + n
         self.ops_executed += n
         if self.op_budget is not None and self.ops_executed > self.op_budget:
             raise GuestTimeout(
                 f"exceeded budget of {self.op_budget} FP operations"
             )
-        if self.op_sequence and self.op_sequence[-1][0] is op:
-            last_op, last_n = self.op_sequence[-1]
-            self.op_sequence[-1] = (last_op, last_n + n)
-        elif len(self.op_sequence) < self.sequence_cap:
-            self.op_sequence.append((op, n))
+        sequence = self.op_sequence
+        if sequence and sequence[-1][0] is op:
+            sequence[-1] = (op, sequence[-1][1] + n)
+        elif len(sequence) < self.sequence_cap:
+            sequence.append((op, n))
         return start
 
-    def _record(self, op: FpOp, a_bits: np.ndarray,
+    def _record(self, index: int, a_bits: np.ndarray,
                 b_bits: Optional[np.ndarray]) -> None:
-        kept = self._trace_len.get(op, 0)
+        kept = self._trace_len.get(index, 0)
         if kept >= self.trace_cap:
             return
         room = self.trace_cap - kept
-        self._trace_a.setdefault(op, []).append(a_bits[:room].copy())
+        self._trace_a.setdefault(index, []).append(a_bits[:room].copy())
         if b_bits is not None:
-            self._trace_b.setdefault(op, []).append(b_bits[:room].copy())
-        self._trace_len[op] = kept + min(room, a_bits.size)
+            self._trace_b.setdefault(index, []).append(b_bits[:room].copy())
+        self._trace_len[index] = kept + min(room, a_bits.size)
 
-    def _apply_corruption(self, op: FpOp, start: int,
+    def _apply_corruption(self, victims: Dict[int, int], start: int,
                           result_bits: np.ndarray) -> bool:
-        victims = self.corruption.get(op)
-        if not victims:
-            return False
         n = result_bits.size
         touched = False
         for index, mask in victims.items():
@@ -171,77 +189,92 @@ class FPContext:
             if not np.isfinite(values).all():
                 raise GuestFpException("non-finite value raised SIGFPE")
 
-    def _binary(self, op: FpOp, a, b):
-        a_arr, b_arr = np.broadcast_arrays(
-            np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        )
-        scalar = a_arr.ndim == 0
-        a_flat = np.atleast_1d(a_arr).ravel()
-        b_flat = np.atleast_1d(b_arr).ravel()
-        n = a_flat.size
-        start = self._charge(op, n)
+    def _binary_flat(self, op: FpOp, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+        """The arithmetic core: two equal-size 1-d float64 operands in,
+        a fresh 1-d float64 result out.
 
-        single = not op.is_double
-        if single:
-            a_flat = a_flat.astype(np.float32)
-            b_flat = b_flat.astype(np.float32)
-        with np.errstate(all="ignore"):
-            result = _BINARY_FNS[op.kind](a_flat, b_flat)
+        Charges the budget, records the operand trace, applies the
+        corruption landing in this call and checks traps once armed.
+        """
+        index, ufunc, double = _OP_TABLE[op]
+        start = self._charge(op, index, a.size)
+        if not double:
+            a = a.astype(np.float32)
+            b = b.astype(np.float32)
+        result = ufunc(a, b)
 
         if self.record_trace:
-            if single:
-                self._record(op, ieee754.floats_to_bits32(a_flat).astype(np.uint64),
-                             ieee754.floats_to_bits32(b_flat).astype(np.uint64))
+            if double:
+                self._record(index, a.view(np.uint64), b.view(np.uint64))
             else:
-                self._record(op, a_flat.view(np.uint64),
-                             b_flat.view(np.uint64))
+                self._record(
+                    index,
+                    ieee754.floats_to_bits32(a).astype(np.uint64),
+                    ieee754.floats_to_bits32(b).astype(np.uint64))
 
-        if self.corruption.get(op):
-            if single:
+        victims = self._victims[index]
+        if victims:
+            if double:
+                if self._apply_corruption(victims, start,
+                                          result.view(np.uint64)):
+                    self._armed = True
+            else:
                 bits = result.view(np.uint32).astype(np.uint64)
-                if self._apply_corruption(op, start, bits):
+                if self._apply_corruption(victims, start, bits):
                     result = bits.astype(np.uint32).view(np.float32)
                     self._armed = True
-            else:
-                bits = result.view(np.uint64)
-                if self._apply_corruption(op, start, bits):
-                    self._armed = True
-                result = bits.view(np.float64)
+        if not double:
+            result = result.astype(np.float64)
 
-        result = result.astype(np.float64)
-        self._trap_check(result)
-        out = result.reshape(a_arr.shape) if not scalar else result[0]
-        return out
+        if self._armed:
+            self._trap_check(result)
+        return result
+
+    def _binary(self, op: FpOp, a, b):
+        """Shape wrapper around :meth:`_binary_flat` (numpy broadcasting;
+        a 0-d result comes back as an ``np.float64`` scalar)."""
+        if (type(a) is np.ndarray and type(b) is np.ndarray
+                and a.dtype == _F64 and b.dtype == _F64
+                and a.shape == b.shape and a.ndim):
+            if a.ndim == 1:
+                return self._binary_flat(op, a, b)
+            return self._binary_flat(op, a.ravel(), b.ravel()).reshape(
+                a.shape)
+        a_arr = np.asarray(a, dtype=np.float64)
+        b_arr = np.asarray(b, dtype=np.float64)
+        if a_arr.shape != b_arr.shape:
+            a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+        result = self._binary_flat(op, a_arr.ravel(), b_arr.ravel())
+        return result.reshape(a_arr.shape) if a_arr.ndim else result[0]
 
     def _conv(self, op: FpOp, values):
+        index = _OP_TABLE[op][0]
         shaped = np.asarray(values)
         scalar = shaped.ndim == 0
-        arr = np.atleast_1d(shaped).ravel()
-        n = arr.size
-        start = self._charge(op, n)
+        arr = shaped.ravel()
+        start = self._charge(op, index, arr.size)
+        victims = self._victims[index]
         if op.kind == "i2f":
             src = arr.astype(np.int64)
             if self.record_trace:
-                self._record(op, src.view(np.uint64), None)
+                self._record(index, src.view(np.uint64), None)
             result = src.astype(np.float64)
-            bits = result.view(np.uint64)
-            if self._apply_corruption(op, start, bits):
+            if victims and self._apply_corruption(
+                    victims, start, result.view(np.uint64)):
                 self._armed = True
-            result = bits.view(np.float64)
             self._trap_check(result)
             return result[0] if scalar else result.reshape(shaped.shape)
         # f2i: round toward zero, saturating (matches the FPU semantics).
         src = arr.astype(np.float64)
         if self.record_trace:
-            self._record(op, src.view(np.uint64), None)
-        with np.errstate(all="ignore"):
-            clipped = np.where(np.isnan(src), 0.0,
-                               np.clip(src, -2.0**62, 2.0**62))
-            result = np.trunc(clipped).astype(np.int64)
-        bits = result.view(np.uint64)
-        if self._apply_corruption(op, start, bits):
+            self._record(index, src.view(np.uint64), None)
+        clipped = np.where(np.isnan(src), 0.0,
+                           np.clip(src, -2.0**62, 2.0**62))
+        result = np.trunc(clipped).astype(np.int64)
+        if victims and self._apply_corruption(
+                victims, start, result.view(np.uint64)):
             self._armed = True
-        result = bits.view(np.int64)
         return int(result[0]) if scalar else result.reshape(shaped.shape)
 
     # -- checkpoint position ----------------------------------------------------------
@@ -252,25 +285,25 @@ class FPContext:
         the op budget expires, so restoring it (plus the workload state)
         resumes an execution bit-identically.
         """
-        return ({op: n for op, n in self.counters.items() if n},
+        return ({op: n for op, n in zip(_OPS, self._counts) if n},
                 self.ops_executed)
 
     def restore_position(self, counters: Dict[FpOp, int],
                          ops_executed: int) -> None:
         """Fast-forward this context to a recorded stream position."""
-        self.counters = {op: int(counters.get(op, 0)) for op in FpOp}
+        self._counts = [int(counters.get(op, 0)) for op in _OPS]
         self.ops_executed = int(ops_executed)
 
     # -- profile extraction ---------------------------------------------------------
     def profile(self, name: str, ops_per_fp: float) -> WorkloadProfile:
         """Summarise the run into a :class:`WorkloadProfile` (golden runs)."""
         trace: Dict[FpOp, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        for op, chunks in self._trace_a.items():
+        for index, chunks in self._trace_a.items():
             a_bits = np.concatenate(chunks) if chunks else np.zeros(0, np.uint64)
-            b_chunks = self._trace_b.get(op)
+            b_chunks = self._trace_b.get(index)
             b_bits = np.concatenate(b_chunks) if b_chunks else None
-            trace[op] = (a_bits, b_bits)
-        counts = {op: n for op, n in self.counters.items() if n > 0}
+            trace[_OPS[index]] = (a_bits, b_bits)
+        counts = {op: n for op, n in zip(_OPS, self._counts) if n > 0}
         fp_total = sum(counts.values())
         return WorkloadProfile(
             name=name,
