@@ -15,7 +15,7 @@ Lane encoding: a *word* is a Python int carrying one bit per batch lane
 (bit ``j`` = lane ``j``).  A batch input is one word per primary input
 net, in ``netlist.inputs`` order, so lane ``j`` of the batch is the
 vector ``{net_i: (words[i] >> j) & 1}``.  :func:`pack_input_words` /
-:func:`unpack_input_words` convert between word form and the legacy
+:func:`unpack_input_words` convert between word form and the
 per-vector dict form.
 """
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.circuit.netlist import Netlist
-from repro import telemetry
 
 #: Names accepted by :func:`make_timing_backend` (and ``--timing-backend``).
 TIMING_BACKENDS: Tuple[str, ...] = ("event", "bitparallel")
@@ -146,50 +145,6 @@ class TimingBackend(Protocol):
                       count: int) -> BatchOutcome:
         """DTA for ``count`` lanes of back-to-back input transitions."""
         ...  # pragma: no cover - protocol
-
-
-class BatchTimingMixin:
-    """Legacy per-pair surface expressed over ``analyze_batch``.
-
-    Both engines inherit these wrappers so migrated and unmigrated
-    callers observe identical verdicts regardless of entry point.
-    """
-
-    def analyze_transition(self, previous: Dict[str, int],
-                           current: Dict[str, int]):
-        """DTA for a single back-to-back input pair.
-
-        .. deprecated:: delegates to :meth:`analyze_batch` with a batch
-           of one; new code should pack transitions into lane words and
-           call the batch API directly.
-        """
-        prev_w = pack_input_words(self.netlist, [previous])
-        cur_w = pack_input_words(self.netlist, [current])
-        return self.analyze_batch(prev_w, cur_w, count=1).outcome(0)
-
-    def analyze_sequence(self, vectors: Sequence[Dict[str, int]]) -> List:
-        """DTA over a stream of input vectors applied back-to-back.
-
-        The first vector only initialises the circuit state (no outcome
-        is emitted for it), matching the paper's per-cycle model where
-        each instruction's timing depends on the previous circuit state.
-
-        .. deprecated:: delegates to one :meth:`analyze_batch` call over
-           the packed stream; new code should use the batch API.
-        """
-        with telemetry.span("dta.sequence", netlist=self.netlist.name,
-                            vectors=len(vectors)):
-            prev, cur, count = stream_words(self.netlist, vectors)
-            if count == 0:
-                return []
-            return self.analyze_batch(prev, cur, count=count).outcomes()
-
-    def error_ratio(self, vectors: Sequence[Dict[str, int]]) -> float:
-        """Eq. 2 over a vector stream: faulty / total transitions."""
-        outcomes = self.analyze_sequence(vectors)
-        if not outcomes:
-            raise ValueError("need at least two vectors for a transition")
-        return sum(1 for o in outcomes if o.faulty) / len(outcomes)
 
 
 def make_timing_backend(name: str, netlist: Netlist, clock_ps: float,

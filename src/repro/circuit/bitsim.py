@@ -17,11 +17,15 @@ one gate delay later.  Because the transport-delay waveform of the
 event simulator satisfies ``out(t) = f(inputs(t - delay))``, this walk
 reproduces the reference waveform per lane bit-for-bit, so golden,
 sampled and fault-mask verdicts are bit-identical to
-``EventSimulator`` + ``DynamicTimingAnalysis``.  The one deliberate
-difference: per-net settle times track the final waveform only, so
-zero-width hazard pulses (transient glitches that revert within a
-single timestamp) do not advance ``worst_settle_ps`` the way the
-reference's per-event bookkeeping does; verdicts are unaffected.
+``EventSimulator`` + ``DynamicTimingAnalysis``.  The golden words are
+the walk's final net words: once every event has been applied, each
+gate output equals its function of the settled ``cur`` inputs, which
+is exactly the zero-delay settle of ``cur`` (a second settle pass would
+recompute them).  The one deliberate difference: settle times track the
+final waveform only, so zero-width hazard pulses (transient glitches
+that revert within a single timestamp) do not advance
+``worst_settle_ps`` the way the reference's per-event bookkeeping does;
+verdicts are unaffected.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.backend import BatchOutcome, BatchTimingMixin
+from repro.circuit.backend import BatchOutcome
 from repro.circuit.cells import Cell
 from repro.circuit.netlist import Netlist
 from repro import telemetry
@@ -42,7 +46,8 @@ from repro import telemetry
 #: arrays.  Python big-int kernels stay competitive far past 64 lanes
 #: because each gate is one interpreter dispatch regardless of width;
 #: measured on the stock datapaths the numpy variant only wins once
-#: words span >= ~128 machine words.
+#: words span >= ~128 machine words.  This is also the default batch
+#: width of :func:`repro.errors.characterize.characterize_gate`.
 AUTO_NUMPY_LANES = 8192
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -186,11 +191,11 @@ def compile_cell(cell: Cell) -> Callable:
 
 @dataclass
 class BatchSimResult:
-    """Raw walk output: per-primary-output lane words plus timing arrays."""
+    """Raw walk output: per-primary-output lane words plus settle times."""
 
     final_words: List[int]
     sampled_words: List[int]
-    last_change_ps: np.ndarray  # (n_outputs, count) float64
+    worst_settle_ps: np.ndarray  # (count,) float64, latest output change
     gate_evals: int
     lane_mode: str
 
@@ -235,23 +240,28 @@ class BitParallelSimulator:
                 f"unknown lane mode {lane_mode!r}; expected 'int' or 'numpy'"
             ) from None
 
-    def _settle(self, input_words: Sequence[int], count: int, ops, mask):
-        """Zero-delay levelized evaluation; per-net lane words."""
+    def _input_lane_words(self, input_words: Sequence[int], count: int,
+                          ops) -> List:
         if len(input_words) != len(self._input_ids):
             raise ValueError(
                 f"expected {len(self._input_ids)} input words, "
                 f"got {len(input_words)}"
             )
+        return [ops.from_int(word, count) for word in input_words]
+
+    def _settle(self, input_words: Sequence[int], count: int, ops, mask):
+        """Zero-delay levelized evaluation; per-net lane words."""
         values: List = [None] * self._n_nets
-        for net_id, word in zip(self._input_ids, input_words):
-            values[net_id] = ops.from_int(word, count)
+        lane_words = self._input_lane_words(input_words, count, ops)
+        for net_id, word in zip(self._input_ids, lane_words):
+            values[net_id] = word
         for fn, in_ids, out_id, _ in self._gates:
             values[out_id] = fn(mask, *[values[i] for i in in_ids])
         return values
 
     def settle_output_words(self, input_words: Sequence[int],
                             count: int) -> List[int]:
-        """Golden reference: zero-delay output lane words."""
+        """Zero-delay output lane words; ``simulate_batch`` ends on these."""
         ops = _IntOps
         values = self._settle(input_words, count, ops, ops.make_mask(count))
         return [values[i] for i in self._output_ids]
@@ -271,10 +281,13 @@ class BitParallelSimulator:
         ops = self._lane_ops(count, lane_mode)
         mask = ops.make_mask(count)
         values = self._settle(prev_words, count, ops, mask)
+        cur = self._input_lane_words(cur_words, count, ops)
 
         out_row = {net_id: row for row, net_id in enumerate(self._output_ids)}
         sampled = [values[i] for i in self._output_ids]
-        last_change = np.zeros((len(self._output_ids), count), dtype=np.float64)
+        # Times pop in ascending order, so the last write per lane is the
+        # latest time any output changed in that lane.
+        worst = np.zeros(count, dtype=np.float64)
 
         gates = self._gates
         fanout = self._fanout
@@ -290,8 +303,7 @@ class BitParallelSimulator:
             # never collide on the same (time, net) slot.
             slot[net_id] = word
 
-        for net_id, word in zip(self._input_ids, cur_words):
-            new = ops.from_int(word, count)
+        for net_id, new in zip(self._input_ids, cur):
             if not ops.is_zero(values[net_id] ^ new):
                 schedule(0.0, net_id, new)
 
@@ -300,6 +312,7 @@ class BitParallelSimulator:
             time = heapq.heappop(heap)
             updates = pending.pop(time)
             triggered: Dict[int, None] = {}
+            out_changed = None
             for net_id, word in updates.items():
                 changed = values[net_id] ^ word
                 if ops.is_zero(changed):
@@ -309,9 +322,12 @@ class BitParallelSimulator:
                 if row is not None:
                     if time <= sample_at:
                         sampled[row] = word
-                    last_change[row][ops.bits(changed, count)] = time
+                    out_changed = (changed if out_changed is None
+                                   else out_changed | changed)
                 for g_idx in fanout[net_id]:
                     triggered[g_idx] = None
+            if out_changed is not None:
+                worst[ops.bits(out_changed, count)] = time
             for g_idx in triggered:
                 fn, in_ids, net_out, delay = gates[g_idx]
                 schedule(time + delay, net_out,
@@ -324,7 +340,7 @@ class BitParallelSimulator:
         return BatchSimResult(
             final_words=[ops.to_int(values[i]) for i in self._output_ids],
             sampled_words=[ops.to_int(w) for w in sampled],
-            last_change_ps=last_change,
+            worst_settle_ps=worst,
             gate_evals=evals,
             lane_mode=ops.kind,
         )
@@ -349,7 +365,7 @@ def _pack_lanes(words: Sequence[int], count: int) -> Tuple[int, ...]:
     return tuple(lanes)
 
 
-class BitParallelTimingAnalysis(BatchTimingMixin):
+class BitParallelTimingAnalysis:
     """Bit-parallel two-instance DTA; drop-in for ``DynamicTimingAnalysis``.
 
     Verdicts (golden, sampled, fault bitmask) are bit-identical to the
@@ -379,23 +395,19 @@ class BitParallelTimingAnalysis(BatchTimingMixin):
                       cur_words: Sequence[int], *,
                       count: int) -> BatchOutcome:
         """DTA verdicts for ``count`` lanes of back-to-back transitions."""
-        golden_words = self._sim.settle_output_words(cur_words, count)
         result = self._sim.simulate_batch(
             prev_words, cur_words, count,
             sample_at=self.clock_ps, lane_mode=self.lane_mode,
         )
-        golden = _pack_lanes(golden_words, count)
+        golden = _pack_lanes(result.final_words, count)
         sampled = _pack_lanes(result.sampled_words, count)
-        if result.last_change_ps.size:
-            worst = result.last_change_ps.max(axis=0)
-        else:
-            worst = np.zeros(count, dtype=np.float64)
+        worst = result.worst_settle_ps
         telemetry.count("dta.transitions", count)
-        telemetry.observe("dta.settle_ps", float(worst.max(initial=0.0)))
+        telemetry.observe("dta.settle_ps", float(worst.max()))
         return BatchOutcome(
             outputs=tuple(self.netlist.outputs),
             golden=golden,
             sampled=sampled,
             bitmask=tuple(g ^ s for g, s in zip(golden, sampled)),
-            worst_settle_ps=tuple(float(w) for w in worst),
+            worst_settle_ps=tuple(worst.tolist()),
         )

@@ -20,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.circuit.backend import (
-    BatchOutcome,
-    BatchTimingMixin,
-    unpack_input_words,
-)
+from repro.circuit.backend import BatchOutcome, unpack_input_words
 from repro.circuit.eventsim import EventSimulator
 from repro.circuit.netlist import Netlist
 from repro import telemetry
@@ -53,7 +49,7 @@ class DtaOutcome:
         return bin(self.bitmask).count("1")
 
 
-class DynamicTimingAnalysis(BatchTimingMixin):
+class DynamicTimingAnalysis:
     """Two-instance DTA over a netlist at a fixed clock and delay factor.
 
     This is the ``event`` backend: each lane of a batch runs through the
@@ -113,7 +109,7 @@ class DynamicTimingAnalysis(BatchTimingMixin):
 
         Reference semantics: lanes are simulated one at a time through
         the event engine, so a batch is exactly equivalent to ``count``
-        legacy ``analyze_transition`` calls.
+        batches of one lane each.
         """
         previous = unpack_input_words(self.netlist, prev_words, count)
         current = unpack_input_words(self.netlist, cur_words, count)

@@ -22,6 +22,7 @@ from repro.circuit.backend import (
     TimingBackend,
     make_timing_backend,
 )
+from repro.circuit.bitsim import AUTO_NUMPY_LANES
 from repro.circuit.liberty import OperatingPoint
 from repro.circuit.netlist import Netlist
 from repro.errors.base import Provenance, WorkloadProfile
@@ -122,16 +123,20 @@ def characterize_gate(netlist: Netlist, clock_ps: float,
                       delay_factor: float,
                       samples: int = 4096, seed: int = 2021,
                       backend: Union[str, TimingBackend] = DEFAULT_TIMING_BACKEND,
-                      lanes: int = 256) -> GateCharacterization:
+                      lanes: int = AUTO_NUMPY_LANES
+                      ) -> GateCharacterization:
     """Gate-level DTA characterisation over a random vector stream.
 
     Streams ``samples`` back-to-back transitions through the selected
     :class:`~repro.circuit.backend.TimingBackend` in batches of at most
-    ``lanes`` lanes.  The whole path works on packed lane words — the
-    operand stream is generated, sliced and analysed without ever
-    constructing a per-vector ``Dict[str, int]`` — and the stream itself
-    is backend-independent, so ``event`` and ``bitparallel`` runs see
-    byte-identical inputs (the differential bench relies on this).
+    ``lanes`` lanes.  The default is the widest batch the bit-parallel
+    engine still runs on Python-int lane words (one interpreter dispatch
+    per gate whatever the width), so a stream of up to that many
+    transitions is one walk.  The whole path works on packed lane
+    words — the operand stream is generated, sliced and analysed without
+    ever constructing a per-vector ``Dict[str, int]`` — and the stream
+    itself is backend-independent, so ``event`` and ``bitparallel`` runs
+    see byte-identical inputs (the differential bench relies on this).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

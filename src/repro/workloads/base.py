@@ -48,6 +48,17 @@ _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
 _OP_TABLE = {op: (index, _UFUNCS.get(op.kind), op.is_double)
              for index, op in enumerate(_OPS)}
 _F64 = np.dtype(np.float64)
+_SCALARS = (float, int, np.floating, np.integer)
+
+
+def _is_scalar(x) -> bool:
+    """A Python/numpy real scalar or a 0-d real array."""
+    return isinstance(x, _SCALARS) or (
+        type(x) is np.ndarray and x.ndim == 0 and x.dtype.kind in "fiub")
+
+
+def _is_f64_array(x) -> bool:
+    return type(x) is np.ndarray and x.dtype == _F64 and x.ndim > 0
 
 
 class FPContext:
@@ -233,20 +244,31 @@ class FPContext:
 
     def _binary(self, op: FpOp, a, b):
         """Shape wrapper around :meth:`_binary_flat` (numpy broadcasting;
-        a 0-d result comes back as an ``np.float64`` scalar)."""
+        a 0-d result comes back as an ``np.float64`` scalar).
+
+        Equal-shape float64 arrays go straight to the core, and a scalar
+        against a float64 array is filled to the array's shape (what
+        broadcasting plus ``ravel`` would copy out); every other mix
+        takes the general broadcast.
+        """
         if (type(a) is np.ndarray and type(b) is np.ndarray
                 and a.dtype == _F64 and b.dtype == _F64
                 and a.shape == b.shape and a.ndim):
-            if a.ndim == 1:
-                return self._binary_flat(op, a, b)
-            return self._binary_flat(op, a.ravel(), b.ravel()).reshape(
-                a.shape)
-        a_arr = np.asarray(a, dtype=np.float64)
-        b_arr = np.asarray(b, dtype=np.float64)
-        if a_arr.shape != b_arr.shape:
-            a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-        result = self._binary_flat(op, a_arr.ravel(), b_arr.ravel())
-        return result.reshape(a_arr.shape) if a_arr.ndim else result[0]
+            pass
+        elif _is_f64_array(b) and _is_scalar(a):
+            a = np.full(b.shape, float(a))
+        elif _is_f64_array(a) and _is_scalar(b):
+            b = np.full(a.shape, float(b))
+        else:
+            a_arr = np.asarray(a, dtype=np.float64)
+            b_arr = np.asarray(b, dtype=np.float64)
+            if a_arr.shape != b_arr.shape:
+                a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+            result = self._binary_flat(op, a_arr.ravel(), b_arr.ravel())
+            return result.reshape(a_arr.shape) if a_arr.ndim else result[0]
+        if a.ndim == 1:
+            return self._binary_flat(op, a, b)
+        return self._binary_flat(op, a.ravel(), b.ravel()).reshape(a.shape)
 
     def _conv(self, op: FpOp, values):
         index = _OP_TABLE[op][0]

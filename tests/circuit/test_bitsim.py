@@ -111,26 +111,14 @@ class TestDifferential:
         event_dta, fast_dta = _engines(netlist, 1.6, 1.0)
         prev, cur = _random_stream(netlist, lanes=16, seed=23)
         fast = fast_dta.analyze_batch(prev, cur, count=16)
-        prev_vecs = unpack_input_words(netlist, prev, 16)
-        cur_vecs = unpack_input_words(netlist, cur, 16)
         for lane, outcome in enumerate(fast.outcomes()):
-            reference = event_dta.analyze_transition(prev_vecs[lane],
-                                                     cur_vecs[lane])
+            reference = event_dta.analyze_batch(
+                [(w >> lane) & 1 for w in prev],
+                [(w >> lane) & 1 for w in cur], count=1).outcome(0)
             assert outcome.golden == reference.golden
             assert outcome.sampled == reference.sampled
             assert outcome.bitmask == reference.bitmask
             assert outcome.faulty == reference.faulty
-
-    def test_wrapper_parity_across_backends(self, netlist):
-        """The deprecated dict wrappers agree between both engines."""
-        event_dta, fast_dta = _engines(netlist, 1.5, 0.9)
-        prev, cur = _random_stream(netlist, lanes=1, seed=5)
-        prev_vec = unpack_input_words(netlist, prev, 1)[0]
-        cur_vec = unpack_input_words(netlist, cur, 1)[0]
-        slow = event_dta.analyze_transition(prev_vec, cur_vec)
-        fast = fast_dta.analyze_transition(prev_vec, cur_vec)
-        assert (slow.golden, slow.sampled, slow.bitmask) == (
-            fast.golden, fast.sampled, fast.bitmask)
 
 
 if HAVE_HYPOTHESIS:

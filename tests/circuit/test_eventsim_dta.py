@@ -150,20 +150,6 @@ class TestDta:
         assert harsh >= mild
         assert harsh > 0.0
 
-    def test_analyze_sequence_compat_wrapper(self, adder8):
-        """The deprecated dict-based wrappers still delegate correctly."""
-        clock = StaticTimingAnalysis(adder8).critical_delay()
-        dta = DynamicTimingAnalysis(adder8, clock, 1.3)
-        vectors = [_adder_inputs(8, i, i + 1) for i in range(5)]
-        outcomes = dta.analyze_sequence(vectors)
-        assert len(outcomes) == 4
-        prev_words, cur_words, count = stream_words(adder8, vectors)
-        batch = dta.analyze_batch(prev_words, cur_words, count=count)
-        assert [o.bitmask for o in outcomes] == list(batch.bitmask)
-        pair = dta.analyze_transition(vectors[0], vectors[1])
-        assert pair.golden == outcomes[0].golden
-        assert pair.bitmask == outcomes[0].bitmask
-
     def test_rejects_speedup_factor(self, adder8):
         with pytest.raises(ValueError):
             DynamicTimingAnalysis(adder8, clock_ps=100.0, delay_factor=0.9)

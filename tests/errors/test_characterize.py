@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.liberty import VR15, VR20
+from repro.circuit.bitsim import AUTO_NUMPY_LANES
 from repro.circuit.builder import build_adder
 from repro.circuit.sta import StaticTimingAnalysis
 from repro.errors.characterize import (
@@ -184,15 +185,15 @@ class TestCharacterizeGate:
 
     def test_lane_chunking_invariant(self, adder, clock):
         """Any lane-chunk geometry yields the identical statistics."""
-        results = [
-            characterize_gate(adder, clock_ps=clock, delay_factor=1.5,
-                              samples=300, seed=9, backend="bitparallel",
-                              lanes=lanes)
-            for lanes in (37, 64, 300)
-        ]
+        kwargs = dict(clock_ps=clock, delay_factor=1.5, samples=300, seed=9,
+                      backend="bitparallel")
+        results = [characterize_gate(adder, lanes=lanes, **kwargs)
+                   for lanes in (37, 64, 300, AUTO_NUMPY_LANES)]
+        results.append(characterize_gate(adder, **kwargs))
         for other in results[1:]:
             assert other.faulty == results[0].faulty
             assert np.array_equal(other.bit_counts, results[0].bit_counts)
+            assert other.worst_settle_ps == results[0].worst_settle_ps
 
     def test_vector_stream_is_backend_independent(self, adder):
         one = random_vector_words(adder, 65, RngStream(3, "s"))

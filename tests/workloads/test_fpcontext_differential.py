@@ -408,9 +408,12 @@ def strided_array(draw, shape):
 
 @st.composite
 def scalar(draw):
-    kind = draw(st.sampled_from(["float", "int", "np64", "zero_d"]))
+    kind = draw(st.sampled_from(
+        ["float", "int", "np64", "zero_d", "zero_d_int"]))
     if kind == "int":
         return draw(ints)
+    if kind == "zero_d_int":
+        return np.array(draw(ints))
     value = draw(floats)
     if kind == "np64":
         return np.float64(value)
