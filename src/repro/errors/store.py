@@ -9,9 +9,9 @@ share.
 
 Artifacts are written crash-consistently (temp file + fsync +
 ``os.replace`` via :mod:`repro.utils.durable`, so a kill mid-save never
-leaves a truncated file) and, from format version 3, carry a SHA-256
-content checksum verified on load — silent corruption raises
-:class:`ArtifactCorruption` instead of loading rotted model data.
+leaves a truncated file) and carry a SHA-256 content checksum verified
+on load — silent corruption raises :class:`ArtifactCorruption` instead
+of loading rotted model data.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from repro.utils import durable
 #: Current schema: version 2 added the ``provenance`` block (benchmark,
 #: seed, samples, operating points); version 3 adds the ``checksum``
 #: field (SHA-256 over the canonical model/provenance/payload dump,
-#: verified on load).  Version-1/2 artifacts still load; anything else
-#: is rejected with a clear error.
+#: verified on load).  Only version 3 loads: every cache key folds in
+#: the version, so older artifacts are regenerated, never read.
 _FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_SUPPORTED_VERSIONS = (3,)
 
 #: Public alias: the characterization pipeline folds the artifact schema
 #: version into its content-addressed cache key, so bumping the format
@@ -84,14 +84,12 @@ def _unwrap(data: dict, expected_kind: str) -> dict:
         raise ValueError(
             f"artifact holds a {kind!r} model, expected {expected_kind!r}"
         )
-    if version >= 3:
-        expected = _checksum(kind, data.get("provenance"), data["payload"])
-        if data.get("checksum") != expected:
-            raise ArtifactCorruption(
-                f"artifact checksum mismatch for {kind!r} model: the "
-                f"file was corrupted after it was written (expected "
-                f"{expected})"
-            )
+    expected = _checksum(kind, data.get("provenance"), data["payload"])
+    if data.get("checksum") != expected:
+        raise ArtifactCorruption(
+            f"artifact checksum mismatch for {kind!r} model: the file "
+            f"was corrupted after it was written (expected {expected})"
+        )
     return data["payload"]
 
 

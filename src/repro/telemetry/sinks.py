@@ -8,7 +8,7 @@ Two consumers of the collector's output:
   :func:`read_trace` tolerates that torn tail line — the same contract
   as the campaign journal.
 - :func:`summary_table` renders a collector snapshot as the per-layer
-  cost report printed by ``--telemetry`` CLI runs and ``scripts/bench.py``.
+  cost report printed by ``--telemetry`` CLI runs.
 """
 
 from __future__ import annotations

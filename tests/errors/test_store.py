@@ -92,16 +92,15 @@ class TestLoadAny:
 
 
 class TestProvenance:
-    def test_v1_artifact_still_loads(self, tmp_path):
+    def test_v1_artifact_rejected(self, tmp_path):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({
             "format_version": 1, "model": "DA",
             "payload": {"fixed_error_ratios": {"VR15": 1e-3},
                         "injection_window": 1000},
         }))
-        model = store.load_da(path)
-        assert model.fixed_error_ratios == {"VR15": 1e-3}
-        assert model.provenance is None
+        with pytest.raises(ValueError, match="supported: 3"):
+            store.load_da(path)
 
     def test_characterized_models_carry_provenance(self, tmp_path,
                                                    tiny_profiles):
@@ -144,5 +143,5 @@ class TestProvenance:
         path = tmp_path / "future.json"
         path.write_text(json.dumps({"format_version": 99, "model": "DA",
                                     "payload": {}}))
-        with pytest.raises(ValueError, match="supported: 1, 2, 3"):
+        with pytest.raises(ValueError, match="supported: 3"):
             store.load_da(path)

@@ -2,11 +2,11 @@
 
 The committed fixtures under ``fixtures/`` pin the on-disk schema: a
 format change that silently alters or breaks old artifacts fails here
-first.  ``da_v1.json`` is a hand-written version-1 artifact (before the
-provenance block), the ``*_v2.json`` files are version-2 artifacts
-(before the content checksum) — both must keep loading; the
-``*_v3.json`` files must survive a load -> save round trip
-byte-for-byte, and their checksums must catch tampering.
+first.  The ``*_v3.json`` files must survive a load -> save round trip
+byte-for-byte, and their checksums must catch tampering.  ``da_v1.json``
+(before the provenance block) and the ``*_v2.json`` files (before the
+content checksum) are superseded formats: loading them must fail with
+the regenerate hint, never yield a model.
 """
 
 import json
@@ -66,23 +66,23 @@ class TestGoldenArtifacts:
         saved = store.save_wa(model, tmp_path / "again.json")
         assert saved.read_text() == (FIXTURES / "wa_v3.json").read_text()
 
-    def test_v1_artifact_still_loads_without_provenance(self):
-        model = store.load_da(FIXTURES / "da_v1.json")
-        assert model.fixed_error_ratios == {"VR15": 0.001, "VR20": 0.01}
-        assert model.injection_window == 1024
-        assert model.provenance is None
+    def test_v1_artifact_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"format version 1 \(supported: 3\); "
+                                 r"re-run `repro characterize`"):
+            store.load_da(FIXTURES / "da_v1.json")
 
     @pytest.mark.parametrize("name", ["da_v2.json", "ia_v2.json",
                                       "wa_v2.json"])
-    def test_v2_artifact_still_loads_without_checksum(self, name):
-        """Version-2 artifacts predate the checksum and must keep
-        loading unverified (there is nothing to verify against)."""
-        model = store.load_any(FIXTURES / name)
-        assert model is not None
+    def test_v2_artifact_rejected(self, name):
+        """Version-2 artifacts predate the checksum, so nothing could
+        verify them: they are rejected, not loaded unverified."""
+        with pytest.raises(ValueError,
+                           match=r"format version 2 \(supported: 3\); "
+                                 r"re-run `repro characterize`"):
+            store.load_any(FIXTURES / name)
 
     @pytest.mark.parametrize("name,kind", [
-        ("da_v1.json", DaModel), ("da_v2.json", DaModel),
-        ("ia_v2.json", IaModel), ("wa_v2.json", WaModel),
         ("da_v3.json", DaModel), ("ia_v3.json", IaModel),
         ("wa_v3.json", WaModel),
     ])
@@ -106,7 +106,7 @@ class TestGoldenArtifacts:
             store.load_any(path)
 
     def test_future_format_version_rejected(self, tmp_path):
-        data = json.loads((FIXTURES / "da_v2.json").read_text())
+        data = json.loads((FIXTURES / "da_v3.json").read_text())
         data["format_version"] = 99
         path = tmp_path / "future.json"
         path.write_text(json.dumps(data))
@@ -115,7 +115,7 @@ class TestGoldenArtifacts:
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected 'IA'"):
-            store.load_ia(FIXTURES / "da_v2.json")
+            store.load_ia(FIXTURES / "da_v3.json")
 
     def test_load_any_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"
