@@ -35,7 +35,7 @@ Durability (journal format version 2):
   the chaos shim pretending to be one) is absorbed: the record stays in
   memory for this process, a recovery newline isolates any torn tail,
   and a later ``--resume`` pass re-executes the lost index.  Version-1
-  journals (no CRC) still load.
+  journals (no CRC) are rejected: start a new journal.
 """
 
 from __future__ import annotations
@@ -88,28 +88,25 @@ def _payload_crc(payload: dict) -> int:
     return zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF
 
 
-def _crc_ok(payload: dict, strict: bool = False) -> bool:
-    """Whether a loaded line's CRC matches.
+class JournalMismatch(ValueError):
+    """The journal on disk belongs to another campaign seed or is in a
+    format no longer read."""
 
-    ``strict`` requires the ``crc`` field to be present and match —
-    bit-rot can mutate the key itself (``"crc"`` → ``"c2c"`` is a
-    single-bit flip), so on a journal known to be v2 a missing CRC *is*
-    corruption.  Non-strict accepts CRC-less lines (legacy v1 files).
+
+def _crc_ok(payload: dict) -> bool:
+    """Whether a loaded line carries a CRC that matches its payload.
+
+    A missing CRC fails too: bit-rot can mutate the key itself
+    (``"crc"`` → ``"c2c"`` is a single-bit flip).
     """
-    crc = payload.get("crc")
-    if crc is None:
-        return not strict
-    return crc == _payload_crc(payload)
+    return payload.get("crc") == _payload_crc(payload)
 
 
-def _parse_lines(path: Union[str, Path]) -> Tuple[List[Optional[dict]], bool]:
-    """Parse a journal into per-line payloads plus a strictness verdict.
+def _parse_lines(path: Union[str, Path]) -> List[Optional[dict]]:
+    """Parse a journal into per-line payloads; torn lines are ``None``.
 
-    Returns ``(payloads, strict)`` where unparseable (torn) lines are
-    ``None`` and ``strict`` is True iff any line carries a ``crc`` —
-    meaning a v2 writer produced the file and every valid line must
-    check out; only a genuine v1 file (no CRCs anywhere) is read
-    leniently.
+    A version-1 journal (its meta line has no CRC) raises
+    :class:`JournalMismatch`: its lines would all fail the CRC check.
     """
     payloads: List[Optional[dict]] = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -122,13 +119,17 @@ def _parse_lines(path: Union[str, Path]) -> Tuple[List[Optional[dict]], bool]:
             except json.JSONDecodeError:
                 payloads.append(None)
                 continue
-            payloads.append(parsed if isinstance(parsed, dict) else None)
-    strict = any(p is not None and "crc" in p for p in payloads)
-    return payloads, strict
-
-
-class JournalMismatch(ValueError):
-    """The journal on disk belongs to a different campaign seed."""
+            if not isinstance(parsed, dict):
+                payloads.append(None)
+                continue
+            if (parsed.get("type") == "meta" and "crc" not in parsed
+                    and parsed.get("version") == 1):
+                raise JournalMismatch(
+                    f"journal {path} is a version-1 journal without "
+                    f"checksums, which is no longer read; start a new "
+                    f"journal")
+            payloads.append(parsed)
+    return payloads
 
 
 @dataclass
@@ -312,17 +313,14 @@ class RunJournal:
 
     # -- reading ---------------------------------------------------------------
     def _load(self) -> None:
-        payloads, strict = _parse_lines(self.path)
-        for payload in payloads:
+        for payload in _parse_lines(self.path):
             if payload is None:
                 # A kill mid-write truncates/tears the line; the
                 # affected run is simply re-executed on resume.
                 continue
-            if not _crc_ok(payload, strict=strict):
+            if not _crc_ok(payload):
                 # Silent corruption (bit-rot): quarantine the line —
-                # never replay a record the checksum disowns.  On a
-                # v2 journal a *missing* CRC is corruption too (the
-                # key itself may have rotted).
+                # never replay a record the checksum disowns.
                 self.stats["crc_failures"] += 1
                 continue
             kind = payload.get("type")
@@ -397,9 +395,8 @@ def canonical_journal(path: Union[str, Path]) -> str:
     runs: Dict[tuple, str] = {}
     cells: Dict[tuple, str] = {}
     stops: Dict[tuple, str] = {}
-    payloads, strict = _parse_lines(path)
-    for payload in payloads:
-        if payload is None or not _crc_ok(payload, strict=strict):
+    for payload in _parse_lines(path):
+        if payload is None or not _crc_ok(payload):
             continue
         kind = payload.get("type")
         if kind == "run":

@@ -614,12 +614,11 @@ def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
         except OSError:
             report["empty_inputs"] += 1
             continue
-        payloads, strict = _parse_lines(path)
-        for payload in payloads:
+        for payload in _parse_lines(path):
             if payload is None:
                 report["torn_lines"] += 1
                 continue
-            if not _crc_ok(payload, strict=strict):
+            if not _crc_ok(payload):
                 report["crc_failures"] += 1
                 continue
             kind = payload.get("type")

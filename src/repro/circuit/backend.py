@@ -26,7 +26,8 @@ from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.circuit.netlist import Netlist
 
-#: Names accepted by :func:`make_timing_backend` (and ``--timing-backend``).
+#: Names accepted by :func:`make_timing_backend` (and by the ``backend``
+#: argument of :func:`repro.errors.characterize.characterize_gate`).
 TIMING_BACKENDS: Tuple[str, ...] = ("event", "bitparallel")
 
 DEFAULT_TIMING_BACKEND = "event"

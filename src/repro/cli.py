@@ -33,14 +33,12 @@ from repro.campaign.executor import CampaignExecutor, ExecutorConfig
 from repro.campaign.fastforward import DEFAULT_INTERVAL, FastForwardConfig
 from repro.campaign.report import executor_stats_table, outcome_table
 from repro.campaign.runner import CampaignRunner
-from repro.circuit.backend import DEFAULT_TIMING_BACKEND, TIMING_BACKENDS
 from repro.circuit.liberty import TECHNOLOGY, VR15, VR20
 from repro.errors import (
-    CharacterizationPipeline,
-    PipelineConfig,
     characterize_da,
     characterize_ia,
     characterize_wa,
+    make_pipeline,
     store,
 )
 from repro.experiments import REGISTRY, get_experiment
@@ -68,36 +66,13 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _make_pipeline(args) -> "CharacterizationPipeline | None":
-    """Build the parallel characterization pipeline from CLI flags.
-
-    No pipeline flag at all keeps the legacy serial path (byte-stable
-    model output); any of ``--workers`` / ``--chunk`` / ``--cache-dir``
-    routes characterisation through :mod:`repro.errors.pipeline`.  The
-    selected ``--timing-backend`` becomes part of every model cache key,
-    so artifacts built by one engine are never served for the other.
-    """
-    if args.workers is None and args.chunk is None and not args.cache_dir:
-        return None
-    from repro.fpu.unit import DEFAULT_DTA_BATCH
-
-    config = PipelineConfig(
-        workers=args.workers or 0,
-        chunk=args.chunk if args.chunk is not None else DEFAULT_DTA_BATCH,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        use_cache=bool(args.cache_dir) and not args.no_cache,
-        timing_backend=getattr(args, "timing_backend",
-                               DEFAULT_TIMING_BACKEND),
-    )
-    return CharacterizationPipeline(config)
-
-
 def _cmd_characterize(args) -> int:
     from repro.fpu.unit import FPU
 
     points = _points_for(args.vr)
-    pipeline = _make_pipeline(args)
-    fpu = FPU(timing_backend=args.timing_backend)
+    fpu = FPU()
+    pipeline = make_pipeline(args.workers, args.chunk, args.cache_dir,
+                             use_cache=not args.no_cache, fpu=fpu)
     workload = make_workload(args.benchmark, scale=args.scale,
                              seed=args.seed)
     runner = CampaignRunner(workload, seed=args.seed)
@@ -746,12 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="compute fresh even when --cache-dir is set "
                         "(entries are still not rewritten)")
-    p.add_argument("--timing-backend", choices=list(TIMING_BACKENDS),
-                   default=DEFAULT_TIMING_BACKEND,
-                   help="gate-level DTA engine: 'event' (reference "
-                        "event-driven simulator) or 'bitparallel' "
-                        "(levelized 64-lane batch engine, bit-identical "
-                        "verdicts); part of every model cache key")
 
     p = sub.add_parser("campaign", help="run an injection campaign")
     p.add_argument("benchmark", choices=sorted(WORKLOADS))

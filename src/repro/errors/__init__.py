@@ -37,6 +37,7 @@ from repro.errors.pipeline import (
     PipelineConfig,
     PipelineError,
     cache_key,
+    make_pipeline,
     trace_digest,
 )
 
@@ -46,6 +47,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineError",
     "cache_key",
+    "make_pipeline",
     "trace_digest",
     "ErrorModel",
     "InjectionPlan",

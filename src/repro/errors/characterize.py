@@ -13,15 +13,11 @@ operands they feed it (the point of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.backend import (
-    DEFAULT_TIMING_BACKEND,
-    TimingBackend,
-    make_timing_backend,
-)
+from repro.circuit.backend import DEFAULT_TIMING_BACKEND, make_timing_backend
 from repro.circuit.bitsim import AUTO_NUMPY_LANES
 from repro.circuit.liberty import OperatingPoint
 from repro.circuit.netlist import Netlist
@@ -122,13 +118,14 @@ class GateCharacterization:
 def characterize_gate(netlist: Netlist, clock_ps: float,
                       delay_factor: float,
                       samples: int = 4096, seed: int = 2021,
-                      backend: Union[str, TimingBackend] = DEFAULT_TIMING_BACKEND,
+                      backend: str = DEFAULT_TIMING_BACKEND,
                       lanes: int = AUTO_NUMPY_LANES
                       ) -> GateCharacterization:
     """Gate-level DTA characterisation over a random vector stream.
 
-    Streams ``samples`` back-to-back transitions through the selected
-    :class:`~repro.circuit.backend.TimingBackend` in batches of at most
+    Streams ``samples`` back-to-back transitions through the timing
+    backend named ``backend`` (``event`` or ``bitparallel``, see
+    :data:`~repro.circuit.backend.TIMING_BACKENDS`) in batches of at most
     ``lanes`` lanes.  The default is the widest batch the bit-parallel
     engine still runs on Python-int lane words (one interpreter dispatch
     per gate whatever the width), so a stream of up to that many
@@ -142,11 +139,8 @@ def characterize_gate(netlist: Netlist, clock_ps: float,
         raise ValueError("samples must be >= 1")
     if lanes < 1:
         raise ValueError("lanes must be >= 1")
-    if isinstance(backend, str):
-        engine = make_timing_backend(backend, netlist, clock_ps=clock_ps,
-                                     delay_factor=delay_factor)
-    else:
-        engine = backend
+    engine = make_timing_backend(backend, netlist, clock_ps=clock_ps,
+                                 delay_factor=delay_factor)
     rng = RngStream(seed, f"gate-characterization/{netlist.name}")
     stream = random_vector_words(netlist, samples + 1, rng)
 

@@ -73,7 +73,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import artifacts as artifacts_mod
-from repro.circuit.backend import DEFAULT_TIMING_BACKEND, TIMING_BACKENDS
 from repro.circuit.liberty import OperatingPoint
 from repro.errors.base import Provenance, WorkloadProfile
 from repro.errors.da import DaModel
@@ -87,7 +86,7 @@ from repro.errors.characterize import (
 )
 from repro.fpu import ops
 from repro.fpu.formats import ALL_OPS, FpOp
-from repro.fpu.timing import DEFAULT_MODEL, TimingModel
+from repro.fpu.timing import TimingModel
 from repro.fpu.unit import DEFAULT_DTA_BATCH, FPU
 from repro.utils.bitops import count_ones
 from repro.utils.rng import RngStream
@@ -126,11 +125,6 @@ class PipelineConfig:
     per worker) exceeds any parallel win, so the job runs serially —
     the result is bit-identical either way.  Set it to 0 to force the
     pool for any job size (the differential tests do).
-
-    ``timing_backend`` names the gate-level DTA engine identity the
-    models are built under (``event`` or ``bitparallel``); it is part of
-    every cache key, so switching backends can never serve a stale
-    artifact characterised under the other engine.
     """
 
     workers: int = 0
@@ -138,7 +132,6 @@ class PipelineConfig:
     cache_dir: Optional[PathLike] = None
     use_cache: bool = True
     min_fanout_vectors: int = 262_144
-    timing_backend: str = DEFAULT_TIMING_BACKEND
 
     def __post_init__(self):
         if self.chunk is not None and self.chunk < 1:
@@ -148,10 +141,6 @@ class PipelineConfig:
         if self.min_fanout_vectors < 0:
             raise ValueError("min_fanout_vectors must be >= 0, got "
                              f"{self.min_fanout_vectors}")
-        if self.timing_backend not in TIMING_BACKENDS:
-            raise ValueError(
-                f"unknown timing backend {self.timing_backend!r}; "
-                f"expected one of {TIMING_BACKENDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +175,20 @@ def cache_key(kind: str, *,
               seed: Optional[int] = None,
               samples: Optional[int] = None,
               trace: Optional[str] = None,
-              burst_window: Optional[int] = None,
-              backend: str = DEFAULT_TIMING_BACKEND) -> str:
+              burst_window: Optional[int] = None) -> str:
     """Content address of one characterised model.
 
     Every input that determines the result participates: changing the
     model kind, op set, any operating point, the seed, the sample
-    budget, the trace digest, the burst window, the timing-backend
-    identity, the artifact ``format_version``, the RNG block size or
-    the pipeline version yields a different key.
+    budget, the trace digest, the burst window, the artifact
+    ``format_version``, the RNG block size or the pipeline version
+    yields a different key.
     """
     payload = {
         "kind": kind,
         "format_version": store.FORMAT_VERSION,
         "pipeline_version": PIPELINE_VERSION,
         "rng_block": RNG_BLOCK,
-        "backend": backend,
         "points": [_point_key(point) for point in points],
         "ops": ([op.value for op in op_set] if op_set is not None else None),
         "seed": seed,
@@ -861,13 +848,7 @@ class CharacterizationPipeline:
                  fpu: Optional[FPU] = None):
         self.config = config or PipelineConfig()
         self.fpu = fpu or FPU()
-        timing_model: TimingModel = self.fpu.timing_model or DEFAULT_MODEL
-        # The pipeline's backend identity wins: rebind the (behaviour-
-        # identical) macro model so cache keys and provenance agree with
-        # the configuration no matter which FPU instance was handed in.
-        self.timing_model = timing_model.with_gate_backend(
-            self.config.timing_backend)
-        self.timing_backend = self.timing_model.gate_backend
+        self.timing_model = self.fpu.timing_model
         self.cache: Optional[ModelCache] = None
         if self.config.cache_dir is not None and self.config.use_cache:
             self.cache = ModelCache(self.config.cache_dir)
@@ -898,8 +879,7 @@ class CharacterizationPipeline:
         """IA model from blockwise random operands (cf. Fig. 7)."""
         op_list = list(ops_under_test or ALL_OPS)
         key = cache_key("IA", points=points, op_set=op_list, seed=seed,
-                        samples=samples_per_op,
-                        backend=self.timing_backend)
+                        samples=samples_per_op)
 
         def build() -> IaModel:
             job = _IaJob(self.timing_model, points, op_list, samples_per_op,
@@ -923,8 +903,7 @@ class CharacterizationPipeline:
             "".join(trace_digest(profile) for profile in profiles).encode()
         ).hexdigest()
         key = cache_key("DA", points=points, seed=seed,
-                        samples=sample_per_point, trace=digest,
-                        backend=self.timing_backend)
+                        samples=sample_per_point, trace=digest)
 
         def build() -> DaModel:
             job = _DaJob(self.timing_model, profiles, points,
@@ -949,8 +928,7 @@ class CharacterizationPipeline:
         serial reference for any worker count and chunk size."""
         digest = trace_digest(profile)
         key = cache_key("WA", points=points, samples=max_samples,
-                        trace=digest, burst_window=burst_window,
-                        backend=self.timing_backend)
+                        trace=digest, burst_window=burst_window)
 
         def build() -> WaModel:
             job = _WaJob(self.timing_model, profile, points, max_samples,
@@ -1002,3 +980,29 @@ class CharacterizationPipeline:
         width = op.fmt.width
         return {point.name: reduced[point.name]["hist"]
                 for point in points}
+
+
+def make_pipeline(workers: Optional[int] = None,
+                  chunk: Optional[int] = None,
+                  cache_dir: Optional[PathLike] = None,
+                  use_cache: bool = True,
+                  fpu: Optional[FPU] = None,
+                  ) -> Optional[CharacterizationPipeline]:
+    """The pipeline the CLI and experiment contexts characterise with.
+
+    No knob set (``workers`` and ``chunk`` ``None``, no ``cache_dir``)
+    returns ``None``: the caller keeps the serial reference path, whose
+    model numbers are the historical ones byte for byte.  Any knob
+    builds a pipeline with ``chunk`` defaulting to
+    :data:`~repro.fpu.unit.DEFAULT_DTA_BATCH`; ``use_cache=False`` keeps
+    a given ``cache_dir`` out of use (the CLI's ``--no-cache``).
+    """
+    if workers is None and chunk is None and not cache_dir:
+        return None
+    config = PipelineConfig(
+        workers=workers or 0,
+        chunk=DEFAULT_DTA_BATCH if chunk is None else chunk,
+        cache_dir=Path(cache_dir) if cache_dir else None,
+        use_cache=bool(cache_dir) and use_cache,
+    )
+    return CharacterizationPipeline(config, fpu=fpu)

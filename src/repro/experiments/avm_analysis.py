@@ -41,9 +41,6 @@ OPTIONS = (
            "characterization worker processes (unset = legacy serial)"),
     Option("cache_dir", str, None,
            "content-addressed model cache directory (unset = no cache)"),
-    Option("timing_backend", str, None,
-           "gate-level DTA engine: event or bitparallel "
-           "(unset = event; part of every model cache key)"),
     Option("adaptive", flag_bool, False,
            "stop each cell at the CI target instead of fixed-N"),
     Option("ci_target", float, 0.03,
@@ -77,13 +74,11 @@ def run(context: Optional[ExperimentContext] = None,
         seed: int = 2021, samples: int = 50_000,
         benchmarks=None, workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        timing_backend: Optional[str] = None,
         adaptive: bool = False, ci_target: float = 0.03,
         min_runs: int = 100, importance: bool = False) -> AvmResult:
     context = ensure_context(context, scale=scale, seed=seed,
                              samples=samples, benchmarks=benchmarks,
-                             workers=workers, cache_dir=cache_dir,
-                             timing_backend=timing_backend)
+                             workers=workers, cache_dir=cache_dir)
     if campaign_results is None:
         config = None
         if adaptive or importance:

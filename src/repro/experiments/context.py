@@ -27,43 +27,18 @@ from repro.errors import (
     CharacterizationPipeline,
     DaModel,
     IaModel,
-    PipelineConfig,
     WaModel,
     characterize_da,
     characterize_ia,
     characterize_wa,
+    make_pipeline,
 )
 from repro.errors.base import ErrorModel, WorkloadProfile
-from repro.fpu.unit import DEFAULT_DTA_BATCH, FPU
+from repro.fpu.unit import FPU
 from repro.workloads import WORKLOADS, make_workload
 
 #: Table II benchmark order.
 BENCHMARKS = ("sobel", "cg", "kmeans", "srad_v1", "hotspot", "is", "mg")
-
-
-def _make_pipeline(fpu: FPU,
-                   workers: Optional[int],
-                   chunk: Optional[int],
-                   cache_dir: Optional[Union[str, Path]],
-                   timing_backend: Optional[str] = None,
-                   ) -> Optional[CharacterizationPipeline]:
-    """Build a characterization pipeline when any knob is set.
-
-    All knobs ``None`` means "legacy serial path" — the context then
-    reproduces the historical model numbers byte for byte.  The timing
-    backend rides along into the pipeline config (and hence every model
-    cache key) whenever a pipeline is built.
-    """
-    if workers is None and chunk is None and cache_dir is None:
-        return None
-    config = PipelineConfig(
-        workers=workers or 0,
-        chunk=chunk if chunk is not None else DEFAULT_DTA_BATCH,
-        cache_dir=Path(cache_dir) if cache_dir is not None else None,
-        use_cache=cache_dir is not None,
-        timing_backend=timing_backend or fpu.timing_backend,
-    )
-    return CharacterizationPipeline(config, fpu=fpu)
 
 
 def ensure_context(context: Optional["ExperimentContext"],
@@ -73,7 +48,6 @@ def ensure_context(context: Optional["ExperimentContext"],
                    workers: Optional[int] = None,
                    chunk: Optional[int] = None,
                    cache_dir: Optional[Union[str, Path]] = None,
-                   timing_backend: Optional[str] = None,
                    ) -> "ExperimentContext":
     """Reuse a supplied context or build one from the uniform options.
 
@@ -83,9 +57,7 @@ def ensure_context(context: Optional["ExperimentContext"],
     it.  ``workers`` / ``chunk`` / ``cache_dir`` opt the build into the
     parallel, content-addressed characterization pipeline
     (:mod:`repro.errors.pipeline`); all three left ``None`` keeps the
-    legacy serial path.  ``timing_backend`` selects the gate-level DTA
-    engine identity (``event`` / ``bitparallel``) carried by the FPU's
-    timing model and by every pipeline cache key.
+    legacy serial path.
     """
     if context is not None:
         return context
@@ -93,7 +65,6 @@ def ensure_context(context: Optional["ExperimentContext"],
         scale=scale, seed=seed, characterization_samples=samples,
         benchmarks=tuple(benchmarks) if benchmarks else BENCHMARKS,
         workers=workers, chunk=chunk, cache_dir=cache_dir,
-        timing_backend=timing_backend,
     )
 
 
@@ -127,7 +98,6 @@ class ExperimentContext:
                chunk: Optional[int] = None,
                cache_dir: Optional[Union[str, Path]] = None,
                fastforward: Optional[FastForwardConfig] = None,
-               timing_backend: Optional[str] = None,
                ) -> "ExperimentContext":
         """Model-development phase over the chosen benchmarks.
 
@@ -139,14 +109,11 @@ class ExperimentContext:
         configures the campaign runners' snapshot engine (``None`` keeps
         the default-on configuration; pass
         ``FastForwardConfig(enabled=False)`` for full replay).
-        ``timing_backend`` binds the FPU's timing model (and any built
-        pipeline's cache keys) to a gate-level engine identity.
         """
         points = list(points) if points else [VR15, VR20]
-        fpu = FPU(timing_backend=timing_backend)
+        fpu = FPU()
         if pipeline is None:
-            pipeline = _make_pipeline(fpu, workers, chunk, cache_dir,
-                                      timing_backend)
+            pipeline = make_pipeline(workers, chunk, cache_dir, fpu=fpu)
         runners: Dict[str, CampaignRunner] = {}
         profiles: Dict[str, WorkloadProfile] = {}
         wa: Dict[str, WaModel] = {}

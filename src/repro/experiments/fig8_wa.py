@@ -35,9 +35,6 @@ OPTIONS = (
            "characterization worker processes (unset = legacy serial)"),
     Option("cache_dir", str, None,
            "content-addressed model cache directory (unset = no cache)"),
-    Option("timing_backend", str, None,
-           "gate-level DTA engine: event or bitparallel "
-           "(unset = event; part of every model cache key)"),
 )
 
 
@@ -53,12 +50,10 @@ def run(context: Optional[ExperimentContext] = None,
         scale: str = "small", seed: int = 2021,
         samples: int = 50_000, benchmarks=None,
         workers: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        timing_backend: Optional[str] = None) -> Fig8Result:
+        cache_dir: Optional[str] = None) -> Fig8Result:
     context = ensure_context(context, scale=scale, seed=seed,
                              samples=samples, benchmarks=benchmarks,
-                             workers=workers, cache_dir=cache_dir,
-                             timing_backend=timing_backend)
+                             workers=workers, cache_dir=cache_dir)
     ber: Dict[str, Dict[str, Dict[str, np.ndarray]]] = {}
     mass: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name, model in context.wa.items():

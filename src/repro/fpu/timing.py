@@ -43,14 +43,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.circuit.backend import (
-    DEFAULT_TIMING_BACKEND,
-    TIMING_BACKENDS,
-    TimingBackend,
-    make_timing_backend,
-)
 from repro.circuit.liberty import OperatingPoint, TECHNOLOGY, VoltageScalingModel
-from repro.circuit.netlist import Netlist
 from repro.fpu import ops, stages
 from repro.fpu.formats import FpOp
 from repro.utils.bitops import bit_length64
@@ -236,40 +229,9 @@ class TimingModel:
     """
 
     def __init__(self, config: TimingConfig = DEFAULT_CONFIG,
-                 technology: VoltageScalingModel = TECHNOLOGY,
-                 gate_backend: str = DEFAULT_TIMING_BACKEND):
-        if gate_backend not in TIMING_BACKENDS:
-            raise ValueError(
-                f"unknown timing backend {gate_backend!r}; "
-                f"expected one of {TIMING_BACKENDS}"
-            )
+                 technology: VoltageScalingModel = TECHNOLOGY):
         self.config = config
         self.technology = technology
-        #: Which gate-level engine this macro model is calibrated and
-        #: verified against (``event`` or ``bitparallel``).  The two
-        #: engines produce bit-identical verdicts, but the identity
-        #: participates in every characterization cache key so artifacts
-        #: built under one backend are never served for the other.
-        self.gate_backend = gate_backend
-
-    def with_gate_backend(self, gate_backend: str) -> "TimingModel":
-        """A model with identical calibration bound to another backend."""
-        if gate_backend == self.gate_backend:
-            return self
-        return TimingModel(config=self.config, technology=self.technology,
-                           gate_backend=gate_backend)
-
-    def gate_reference(self, netlist: Netlist, clock_ps: float,
-                       delay_factor: float) -> TimingBackend:
-        """Gate-level DTA engine for ``netlist`` using this model's backend.
-
-        This is the reference simulator the macro model's slack curves
-        are calibrated against; callers should feed it lane words via
-        ``analyze_batch`` rather than per-vector dicts.
-        """
-        return make_timing_backend(self.gate_backend, netlist,
-                                   clock_ps=clock_ps,
-                                   delay_factor=delay_factor)
 
     # -- voltage mapping ---------------------------------------------------------
     def threshold(self, point: OperatingPoint) -> float:

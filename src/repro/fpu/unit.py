@@ -48,17 +48,8 @@ class DtaBatch:
 class FPU:
     """The voltage-scalable floating-point unit under study."""
 
-    def __init__(self, timing_model: Optional[TimingModel] = None,
-                 timing_backend: Optional[str] = None):
+    def __init__(self, timing_model: Optional[TimingModel] = None):
         self.timing_model = timing_model or DEFAULT_MODEL
-        if timing_backend is not None:
-            self.timing_model = self.timing_model.with_gate_backend(
-                timing_backend)
-
-    @property
-    def timing_backend(self) -> str:
-        """Gate-level engine identity of the model (cache-key component)."""
-        return self.timing_model.gate_backend
 
     # -- architectural execution ---------------------------------------------------
     def execute(self, op: FpOp, a: int, b: int = 0) -> int:
@@ -72,37 +63,13 @@ class FPU:
 
     # -- dynamic timing analysis ----------------------------------------------------
     def dta(self, op: FpOp, a: np.ndarray, b: Optional[np.ndarray],
-            points: Sequence[OperatingPoint],
-            max_batch: Optional[int] = None) -> DtaBatch:
-        """Two-instance DTA over a batch (Section III.A.1, vectorised).
-
-        ``max_batch`` streams the operands through the timing model in
-        chunks of at most that many elements, bounding peak memory and
-        keeping temporaries cache-resident; the mask builders are
-        elementwise, so the result is bit-identical to the full-batch
-        evaluation for any chunk size.
-        """
+            points: Sequence[OperatingPoint]) -> DtaBatch:
+        """Two-instance DTA over a batch (Section III.A.1, vectorised)."""
         a = np.asarray(a, dtype=np.uint64)
         with telemetry.span("fpu.dta", op=op.value, batch=int(a.size)):
-            if max_batch and a.size > max_batch:
-                golden_parts = []
-                mask_parts = {point.name: [] for point in points}
-                for lo in range(0, a.size, max_batch):
-                    aa = a[lo:lo + max_batch]
-                    bb = b[lo:lo + max_batch] if b is not None else None
-                    part = ops.golden(op, aa, bb)
-                    golden_parts.append(part)
-                    chunk_masks = self.timing_model.error_masks(
-                        op, aa, bb, points, golden=part)
-                    for name, mask in chunk_masks.items():
-                        mask_parts[name].append(mask)
-                golden = np.concatenate(golden_parts)
-                masks = {name: np.concatenate(parts)
-                         for name, parts in mask_parts.items()}
-            else:
-                golden = ops.golden(op, a, b)
-                masks = self.timing_model.error_masks(op, a, b, points,
-                                                      golden=golden)
+            golden = ops.golden(op, a, b)
+            masks = self.timing_model.error_masks(op, a, b, points,
+                                                  golden=golden)
         telemetry.count("fpu.dta.batches")
         telemetry.count("fpu.dta.vectors", int(a.size))
         telemetry.observe("fpu.dta.batch_size", int(a.size))

@@ -183,7 +183,9 @@ class TestJournalDurability:
         loaded.close()
         assert canonical_journal(path).count('"type":"run"') == 1
 
-    def test_v1_journal_without_crc_still_loads(self, tmp_path):
+    def test_v1_journal_rejected(self, tmp_path):
+        """A CRC-less v1 journal is refused with a clear message rather
+        than resumed from zero with every line counted as corrupt."""
         path = tmp_path / "j.jsonl"
         lines = [
             {"type": "meta", "version": 1, "seed": 11},
@@ -191,10 +193,10 @@ class TestJournalDurability:
              "point": "VR20", "run_index": 0, "outcome": "SDC"},
         ]
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
-        loaded = RunJournal.open(path, seed=11, resume=True)
-        assert loaded.completed_runs("wl", "WA", "VR20")[0].outcome == "SDC"
-        assert loaded.stats["crc_failures"] == 0
-        loaded.close()
+        with pytest.raises(JournalMismatch, match="start a new journal"):
+            RunJournal.open(path, seed=11, resume=True)
+        with pytest.raises(JournalMismatch, match="version-1"):
+            canonical_journal(path)
 
     def test_fsync_always_fsyncs_per_record(self, tmp_path):
         with RunJournal.open(tmp_path / "j.jsonl", seed=11,

@@ -36,8 +36,6 @@ from repro.circuit.cells import LIBRARY, Cell
 from repro.circuit.dta import DynamicTimingAnalysis
 from repro.circuit.sta import StaticTimingAnalysis
 from repro.errors.characterize import random_vector_words
-from repro.errors.pipeline import cache_key
-from repro.circuit.liberty import VR15, VR20
 from repro.utils.rng import RngStream
 
 try:
@@ -249,9 +247,3 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="timing backend"):
             make_timing_backend("gpu", netlist, clock_ps=500.0,
                                 delay_factor=1.3)
-
-    def test_cache_key_is_backend_sensitive(self):
-        base = dict(points=[VR15, VR20], seed=3, samples=100)
-        event_key = cache_key("IA", backend="event", **base)
-        fast_key = cache_key("IA", backend="bitparallel", **base)
-        assert event_key != fast_key

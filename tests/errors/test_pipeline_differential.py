@@ -218,34 +218,6 @@ class TestModelCache:
             "quarantined": 1, "store_errors": 0}
         assert_wa_equal(again, first)
 
-    def test_backend_identity_invalidates_entries(self, fpu,
-                                                  tiny_profiles,
-                                                  tmp_path):
-        """An artifact built by one timing backend is never served for
-        the other: the backend name is a cache-key component, so a
-        backend switch is a clean miss, not a stale hit."""
-        profile = tiny_profiles["srad_v1"]
-        event = CharacterizationPipeline(
-            self._config(tmp_path, timing_backend="event"), fpu=fpu)
-        first = event.characterize_wa(profile, POINTS)
-        assert event.cache.stats()["miss"] == 1
-
-        fast = CharacterizationPipeline(
-            self._config(tmp_path, timing_backend="bitparallel"), fpu=fpu)
-        second = fast.characterize_wa(profile, POINTS)
-        stats = fast.cache.stats()
-        assert stats["hit"] == 0
-        assert stats["miss"] == 1
-        # Two distinct store entries now coexist...
-        entries = sorted(fast.cache.artifacts.list(fast.cache.NAMESPACE))
-        assert len(entries) == 2
-        # ...and each backend's rerun hits only its own.
-        again = CharacterizationPipeline(
-            self._config(tmp_path, timing_backend="bitparallel"), fpu=fpu)
-        again.characterize_wa(profile, POINTS)
-        assert again.cache.stats()["hit"] == 1
-        assert_wa_equal(second, first)
-
     def test_no_cache_bypasses_directory(self, fpu, tiny_profiles,
                                          tmp_path):
         profile = tiny_profiles["srad_v1"]

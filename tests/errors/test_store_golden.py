@@ -137,6 +137,14 @@ class TestCacheKeySensitivity:
         assert len(self.key()) == 64
         int(self.key(), 16)  # hex digest
 
+    def test_key_format_pinned(self):
+        """Any change to the key silently invalidates every existing
+        cache entry, so it has to be a deliberate edit of this digest."""
+        key = cache_key("WA", points=[VR15, VR20], samples=1000,
+                        trace="00" * 32, burst_window=8)
+        assert key == ("566dc8f543391503d1fd948be9c4ab44"
+                       "0fb177b2b3c6f92dbc6698fb7a856eb7")
+
     @pytest.mark.parametrize("override", [
         {"kind": "WA"},
         {"points": [VR15]},
