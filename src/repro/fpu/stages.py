@@ -77,7 +77,6 @@ class AddSubSignals:
     round_diff: np.ndarray     # golden ^ truncated mantissa (arch domain)
     exp_carry: np.ndarray      # exponent-update carry word
     exp_prop: np.ndarray       # exponent-update propagate word
-    cancel_depth: np.ndarray   # comparator depth when sign is data-decided
 
 
 @dataclass
@@ -198,13 +197,6 @@ def addsub_signals(op: FpOp, a: np.ndarray, b: np.ndarray,
     exp_prop = np.where(delta < 0, ~(big_exp ^ delta_mag),
                         big_exp ^ delta_mag) & emask
 
-    # Sign-decision comparator depth: only stressed when exponents are
-    # equal and mantissas share a long common prefix (deep cancellation).
-    same_exp = (ea_eff == eb_eff) & effective_sub
-    diff_sig = siga ^ sigb
-    common = (mb_bits + 1) - bit_length64(diff_sig)
-    cancel_depth = np.where(same_exp & (diff_sig != 0), common, 0)
-
     return AddSubSignals(
         valid=valid,
         carry_word=carry_word,
@@ -217,11 +209,23 @@ def addsub_signals(op: FpOp, a: np.ndarray, b: np.ndarray,
         round_diff=round_diff,
         exp_carry=exp_carry,
         exp_prop=exp_prop,
-        cancel_depth=cancel_depth.astype(np.int64),
     )
 
 
 # -- multiply -----------------------------------------------------------------------
+
+def _csa_limb(s: np.ndarray, c: np.ndarray, pp: np.ndarray,
+              x: np.ndarray) -> None:
+    """One limb of a CSA row, in place: s <- s ^ c ^ pp, c <- majority.
+
+    The majority is left unshifted; ``x`` is scratch.
+    """
+    np.bitwise_xor(s, c, out=x)
+    c &= s
+    np.bitwise_and(x, pp, out=s)
+    c |= s                          # (s & c) | ((s ^ c) & pp)
+    np.bitwise_xor(x, pp, out=s)
+
 
 def _csa_accumulate(siga: np.ndarray, sigb: np.ndarray,
                     width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -230,28 +234,38 @@ def _csa_accumulate(siga: np.ndarray, sigb: np.ndarray,
     Returns the two final CPA addends (sum row, carry row) as (lo, hi)
     limb pairs — the operands of the multiplier's final carry-propagate
     adder, whose data-dependent carry chains are the fp-mul critical path.
+
+    Every row runs in place on preallocated buffers.  With
+    ``siga < 2**width``, the sum and carry rows after ``j`` rows stay
+    below ``2**(width + j - 1)`` (a majority bit needs two of the three
+    inputs, and only the new partial product reaches the top bit), so
+    rows ``j <= 64 - width`` put nothing at bit 64 and skip the high limb.
     """
-    s_lo = np.zeros_like(siga)
-    s_hi = np.zeros_like(siga)
-    c_lo = np.zeros_like(siga)
-    c_hi = np.zeros_like(siga)
+    if not 0 < width < 64:
+        raise ValueError(f"significand width {width} outside 1..63")
+    s_lo, s_hi, c_lo, c_hi = (np.zeros_like(siga) for _ in range(4))
+    take, pp, x = (np.empty_like(siga) for _ in range(3))
+    signed_take = take.view(np.int64)
+    one = _u(1)
     for j in range(width):
-        bit = (sigb >> _u(j)) & _u(1)
-        take = (~(bit - _u(1)))  # all-ones where bit set, zero otherwise
-        if j < 64:
-            pp_lo = (siga << _u(j)) & take
-            pp_hi = ((siga >> _u(64 - j)) & take) if j else np.zeros_like(siga)
-        else:  # pragma: no cover - widths here never exceed 64
-            pp_lo = np.zeros_like(siga)
-            pp_hi = (siga << _u(j - 64)) & take
-        # CSA: s' = s ^ c ^ pp ; c' = majority(s, c, pp) << 1 (128-bit).
-        new_s_lo = s_lo ^ c_lo ^ pp_lo
-        new_s_hi = s_hi ^ c_hi ^ pp_hi
-        maj_lo = (s_lo & c_lo) | (s_lo & pp_lo) | (c_lo & pp_lo)
-        maj_hi = (s_hi & c_hi) | (s_hi & pp_hi) | (c_hi & pp_hi)
-        c_lo = maj_lo << _u(1)
-        c_hi = (maj_hi << _u(1)) | (maj_lo >> _u(63))
-        s_lo, s_hi = new_s_lo, new_s_hi
+        # All-ones where bit j of sigb is set: move it to the sign bit,
+        # then shift it arithmetically back across the word.
+        np.left_shift(sigb, _u(63 - j), out=take)
+        np.right_shift(signed_take, 63, out=signed_take)
+        np.bitwise_and(siga, take, out=pp)
+        high = j > 64 - width
+        if high:
+            # take is spent: it holds the high limb's partial product.
+            np.right_shift(pp, _u(64 - j), out=take)
+            _csa_limb(s_hi, c_hi, take, x)
+        pp <<= _u(j)
+        _csa_limb(s_lo, c_lo, pp, x)
+        # c' = majority << 1 across the two limbs.
+        if high:
+            c_hi <<= one
+            np.right_shift(c_lo, _u(63), out=x)
+            c_hi |= x
+        c_lo <<= one
     return s_lo, s_hi, c_lo, c_hi
 
 

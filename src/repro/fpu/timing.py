@@ -37,9 +37,11 @@ random-operand error ratios land in the 1e-3 (VR15) / 1e-2 (VR20) decades.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -137,8 +139,8 @@ class TimingConfig:
 DEFAULT_CONFIG = TimingConfig()
 
 
-def _run_late_mask(carry: np.ndarray, prop: np.ndarray, k_star: np.ndarray,
-                   width: int) -> np.ndarray:
+def _run_late_mask(carry: np.ndarray, prop: np.ndarray,
+                   k_stars: Sequence, width: int) -> List[np.ndarray]:
     """Bits whose carry arrived via a ripple of >= k_star propagate steps.
 
     ``carry`` holds the carry/borrow-in at every bit (``a ^ b ^ result``),
@@ -147,77 +149,116 @@ def _run_late_mask(carry: np.ndarray, prop: np.ndarray, k_star: np.ndarray,
     bit p has ripple depth k iff bits p-1 .. p-k+1 all both carry and
     propagate — a locally *generated* carry is fast and breaks the chain,
     which is why depth is counted along carry & prop runs, not raw carry
-    runs.  ``k_star`` is per-element (int64; any value > width means no
-    failures for that element).
+    runs.
+
+    One pass serves every operating point: ``k_stars`` holds one failure
+    depth per point, an int or a per-element int64 array (values >= 1;
+    any value > width means no failures).  The bits still carried at
+    depth k, ``acc_k``, only shrink as k grows, so the late bits of
+    depth >= k* are exactly ``acc_{k*}``.
     """
-    late = np.zeros_like(carry)
-    finite = k_star <= width
-    if not finite.any():
-        return late
+    lates = [np.zeros_like(carry) for _ in k_stars]
+    if carry.size == 0:
+        return lates
+    bounds = [(int(ks.min()), int(ks.max())) if isinstance(ks, np.ndarray)
+              else (ks, ks) for ks in k_stars]
+    k_last = min(width, max((hi for _, hi in bounds), default=0))
+    if k_last < 1:
+        return lates
     chain = carry & prop
     acc = carry.copy()
-    shifted = chain.copy()
-    k_max = int(k_star[finite].max())
-    for k in range(1, min(width, k_max) + 1):
+    for k in range(1, k_last + 1):
         if k > 1:
-            shifted = shifted << _u(1)  # chain << (k - 1)
-            acc = acc & shifted
-        hit = k >= k_star
-        if hit.any():
-            late |= np.where(hit, acc, _u(0))
-        if hit.all() or not acc.any():
+            chain <<= _u(1)  # chain << (k - 1)
+            acc &= chain
+        for late, ks, (lo, hi) in zip(lates, k_stars, bounds):
+            if lo <= k <= hi:
+                np.copyto(late, acc, where=(ks == k) if lo < hi else True)
+        if not acc.any():
             break
-    return late
+    return lates
 
 
 def _run_late_mask128(carry_lo: np.ndarray, carry_hi: np.ndarray,
                       prop_lo: np.ndarray, prop_hi: np.ndarray,
-                      k_star: float, width: int,
-                      column_masks: Optional[Dict[int, "tuple"]] = None):
+                      k_stars: Sequence[float], width: int,
+                      column_masks: Sequence[Mapping[int, tuple]]):
     """Two-limb variant for the multiplier's 106-bit CPA carry word.
 
-    ``column_masks`` maps a depth k to the (lo, hi) bit-mask of positions
-    whose array-column weight makes them fail already at run depth k
-    (middle columns of the carry-save array are deeper, hence fail
-    earlier).
+    ``k_stars`` holds one finite failure depth per operating point, and
+    one (lo, hi) pair comes back per point.  ``column_masks``
+    gives, per point, a map from depth k to the (lo, hi) bit-mask of
+    positions whose array-column weight makes them fail already at run
+    depth k (middle columns of the carry-save array are deeper, hence
+    fail earlier).
     """
-    late_lo = np.zeros_like(carry_lo)
-    late_hi = np.zeros_like(carry_hi)
-    if math.isinf(k_star):
-        return late_lo, late_hi
+    lates = [(np.zeros_like(carry_lo), np.zeros_like(carry_hi))
+             for _ in k_stars]
+    k_bases = [max(1, int(math.ceil(ks))) for ks in k_stars]
     acc_lo, acc_hi = carry_lo.copy(), carry_hi.copy()
     sh_lo = carry_lo & prop_lo
     sh_hi = carry_hi & prop_hi
-    k_base = max(1, int(math.ceil(k_star)))
-    min_k = k_base
-    if column_masks:
-        min_k = max(1, min(column_masks))
-    for k in range(1, min(width, k_base) + 1):
+    tmp = np.empty_like(carry_lo)
+    for k in range(1, min(width, max(k_bases)) + 1):
         if k > 1:
-            sh_hi = (sh_hi << _u(1)) | (sh_lo >> _u(63))
-            sh_lo = sh_lo << _u(1)
+            np.right_shift(sh_lo, _u(63), out=tmp)
+            sh_hi <<= _u(1)
+            sh_hi |= tmp
+            sh_lo <<= _u(1)
             acc_lo &= sh_lo
             acc_hi &= sh_hi
-        if column_masks and k in column_masks:
-            m_lo, m_hi = column_masks[k]
-            late_lo |= acc_lo & _u(m_lo)
-            late_hi |= acc_hi & _u(m_hi)
-        if k >= k_base:
-            late_lo |= acc_lo
-            late_hi |= acc_hi
-            break
+        for (late_lo, late_hi), k_base, columns in zip(lates, k_bases,
+                                                      column_masks):
+            if k > k_base:
+                continue
+            if k in columns:
+                m_lo, m_hi = columns[k]
+                np.bitwise_and(acc_lo, _u(m_lo), out=tmp)
+                late_lo |= tmp
+                np.bitwise_and(acc_hi, _u(m_hi), out=tmp)
+                late_hi |= tmp
+            if k == k_base:
+                late_lo |= acc_lo
+                late_hi |= acc_hi
         if not (acc_lo.any() or acc_hi.any()):
             break
-    return late_lo, late_hi
+    return lates
 
 
-def _shift_signed(word: np.ndarray, amount: np.ndarray,
-                  mask: int) -> np.ndarray:
-    """Elementwise ``word >> amount`` (left shift for negative), masked."""
-    right = np.clip(amount, 0, 63).astype(np.uint64)
-    left = np.clip(-amount, 0, 63).astype(np.uint64)
-    out = np.where(amount >= 0, word >> right, word << left)
-    return out & _u(mask)
+def _live(params: PathClass, thresholds: Sequence[float],
+          masks: List[np.ndarray]) -> List[tuple]:
+    """(mask, k*) of every point at which ``params``' paths can fail."""
+    k_stars = (params.k_star(threshold) for threshold in thresholds)
+    return [(mask, ks) for mask, ks in zip(masks, k_stars)
+            if not math.isinf(ks)]
+
+
+@functools.lru_cache(maxsize=64)
+def _mul_column_masks(sig_width: int, k_star: float,
+                      weight_cap: int) -> Mapping[int, tuple]:
+    """Depth k -> product-bit mask failing at k due to column height.
+
+    Memoised, so the map is read-only: every caller shares it.
+    """
+    product_bits = 2 * sig_width
+    buckets: Dict[int, List[int]] = {}
+    for p in range(product_bits):
+        height = min(p, product_bits - 1 - p, sig_width - 1)
+        w = round(weight_cap * height / (sig_width - 1))
+        if w <= 0:
+            continue
+        k = max(1, math.ceil(k_star - w))
+        buckets.setdefault(k, []).append(p)
+    out = {}
+    for k, positions in buckets.items():
+        lo = hi = 0
+        for p in positions:
+            if p < 64:
+                lo |= 1 << p
+            else:
+                hi |= 1 << (p - 64)
+        out[k] = (lo, hi)
+    return types.MappingProxyType(out)
 
 
 class TimingModel:
@@ -290,9 +331,10 @@ class TimingModel:
                     ) -> Dict[str, np.ndarray]:
         """Architectural error bitmasks per operating point.
 
-        The stage signals are extracted once and evaluated against each
-        point's threshold — the vector analogue of re-running the scaled
-        gate-level simulation instance per voltage (Section III.A.1).
+        The stage signals are extracted once and every point's threshold
+        is evaluated in the same run-depth passes — the vector analogue of
+        re-running the scaled gate-level simulation instance per voltage
+        (Section III.A.1).
         """
         a = np.asarray(a, dtype=np.uint64)
         if golden is None:
@@ -310,10 +352,11 @@ class TimingModel:
         else:
             signals = stages.conv_signals(op, a, golden)
             build = self._conv_masks
+        masks = build(op, signals, [self.threshold(p) for p in points])
+        invalid = ~signals.valid
         out: Dict[str, np.ndarray] = {}
-        for point in points:
-            mask = build(op, signals, self.threshold(point))
-            mask = np.where(signals.valid, mask, _u(0))
+        for point, mask in zip(points, masks):
+            mask[invalid] = 0
             out[point.name] = mask
             if telemetry.enabled():
                 telemetry.count("fpu.timing.masks", int(mask.size))
@@ -322,138 +365,138 @@ class TimingModel:
         return out
 
     # -- per-kind mask builders --------------------------------------------------------
+    # Each builder takes every point's slack threshold at once and returns
+    # one fresh mask per threshold: run-depth passes and per-chunk terms
+    # are shared by all points.
     def _addsub_masks(self, op: FpOp, sig: stages.AddSubSignals,
-                      threshold: float) -> np.ndarray:
+                      thresholds: Sequence[float]) -> List[np.ndarray]:
         fmt = op.fmt
         cfg = self.config
         n = sig.carry_word.shape[0]
-        mant_mask = (1 << fmt.mantissa_bits) - 1
+        mant_mask = _u((1 << fmt.mantissa_bits) - 1)
         width = fmt.mantissa_bits + 1 + 3 + 1
+        masks = [np.zeros(n, dtype=np.uint64) for _ in thresholds]
 
-        mask = np.zeros(n, dtype=np.uint64)
-        params = cfg.mantissa_params(op)
-        ks = params.k_star(threshold)
-        if not math.isinf(ks):
+        live = _live(cfg.mantissa_params(op), thresholds, masks)
+        if live:
             # Post-normalisation shifter depth (log2 mux levels) merges
             # into the effective path depth of cancellation-heavy subtracts.
             offset = np.floor(
                 cfg.norm_depth_weight * np.log2(1.0 + sig.norm_shift)
             )
-            k_eff = np.maximum(
-                1, np.ceil(ks - offset)
-            ).astype(np.int64)
-            late = _run_late_mask(sig.carry_word, sig.prop_word, k_eff, width)
-            mask |= _shift_signed(late, sig.sigma, mant_mask)
-            # A ripple that reaches the top of the mantissa adder races the
-            # sign/normalisation decision: the sampled result has the wrong
-            # sign (the operand-swap mux latched the stale comparison).
-            top_late = (late >> _u(fmt.mantissa_bits + 3)) != 0
-            mask |= np.where(top_late & sig.effective_sub,
-                             _u(1 << fmt.sign_bit), _u(0))
+            lates = _run_late_mask(
+                sig.carry_word, sig.prop_word,
+                [np.maximum(1, np.ceil(ks - offset)).astype(np.int64)
+                 for _, ks in live],
+                width)
+            # Elementwise late >> sigma (left shift for negative sigma).
+            right_shift = sig.sigma >= 0
+            right = np.clip(sig.sigma, 0, 63).astype(np.uint64)
+            left = np.clip(-sig.sigma, 0, 63).astype(np.uint64)
+            sign_hit = np.empty(n, dtype=bool)
+            shifted = np.empty(n, dtype=np.uint64)
+            for mask, _ in live:
+                late = lates.pop(0)
+                np.left_shift(late, left, out=shifted)
+                np.right_shift(late, right, out=shifted, where=right_shift)
+                shifted &= mant_mask
+                mask |= shifted
+                # A ripple that reaches the top of the mantissa adder races
+                # the sign/normalisation decision: the sampled result has the
+                # wrong sign (the operand-swap mux latched the stale
+                # comparison).
+                late >>= _u(fmt.mantissa_bits + 3)
+                np.not_equal(late, 0, out=sign_hit)
+                sign_hit &= sig.effective_sub
+                np.bitwise_or(mask, _u(1 << fmt.sign_bit), out=mask,
+                              where=sign_hit)
+                del late
 
-        # Rounding incrementer.
-        rparams = cfg.aux_params(cfg.round, op)
-        kr = rparams.k_star(threshold)
-        if not math.isinf(kr):
-            extent = bit_length64(sig.round_diff)
-            mask |= np.where(extent >= kr, sig.round_diff, _u(0))
+        self._round_masks(op, sig.round_diff, thresholds, masks)
+        self._exponent_masks(op, sig.exp_carry, sig.exp_prop, thresholds,
+                             masks)
+        return masks
 
-        # Exponent-update path.
-        eparams = cfg.exponent_params(op)
-        if eparams is not None:
-            ke = eparams.k_star(threshold)
-            if not math.isinf(ke):
-                k_eff = np.full(n, max(1, math.ceil(ke)), dtype=np.int64)
-                late_e = _run_late_mask(sig.exp_carry, sig.exp_prop, k_eff,
-                                        fmt.exponent_bits)
-                mask |= late_e << _u(fmt.exponent_lo)
-        return mask
+    def _round_masks(self, op: FpOp, round_diff: np.ndarray,
+                     thresholds: Sequence[float],
+                     masks: List[np.ndarray]) -> None:
+        """Rounding incrementer: OR the round extent into each mask."""
+        live = _live(self.config.aux_params(self.config.round, op),
+                     thresholds, masks)
+        if live:
+            extent = bit_length64(round_diff)
+        for mask, kr in live:
+            np.bitwise_or(mask, round_diff, out=mask, where=extent >= kr)
+
+    def _exponent_masks(self, op: FpOp, exp_carry: np.ndarray,
+                        exp_prop: np.ndarray, thresholds: Sequence[float],
+                        masks: List[np.ndarray]) -> None:
+        """Exponent-update path: OR its late bits into each mask."""
+        eparams = self.config.exponent_params(op)
+        if eparams is None:
+            return
+        live = _live(eparams, thresholds, masks)
+        lates = _run_late_mask(exp_carry, exp_prop,
+                               [max(1, math.ceil(ke)) for _, ke in live],
+                               op.fmt.exponent_bits)
+        for (mask, _), late in zip(live, lates):
+            late <<= _u(op.fmt.exponent_lo)
+            mask |= late
 
     def _mul_masks(self, op: FpOp, sig: stages.MulSignals,
-                   threshold: float) -> np.ndarray:
+                   thresholds: Sequence[float]) -> List[np.ndarray]:
         fmt = op.fmt
         cfg = self.config
         n = sig.cpa_carry_lo.shape[0]
-        mant_mask = (1 << fmt.mantissa_bits) - 1
-        width = 2 * (fmt.mantissa_bits + 1)
+        mant_mask = _u((1 << fmt.mantissa_bits) - 1)
+        sig_width = fmt.mantissa_bits + 1
+        masks = [np.zeros(n, dtype=np.uint64) for _ in thresholds]
 
-        mask = np.zeros(n, dtype=np.uint64)
-        params = cfg.mantissa_params(op)
-        ks = params.k_star(threshold)
-        if not math.isinf(ks):
-            column_masks = self._mul_column_masks(fmt.mantissa_bits + 1, ks)
-            late_lo, late_hi = _run_late_mask128(
+        live = _live(cfg.mantissa_params(op), thresholds, masks)
+        if live:
+            lates = _run_late_mask128(
                 sig.cpa_carry_lo, sig.cpa_carry_hi,
-                sig.cpa_prop_lo, sig.cpa_prop_hi, ks, width, column_masks
-            )
+                sig.cpa_prop_lo, sig.cpa_prop_hi,
+                [ks for _, ks in live], 2 * sig_width,
+                [_mul_column_masks(sig_width, ks, cfg.mul_column_weight)
+                 for _, ks in live])
             # Extract the architectural mantissa window (sigma in [23, 53]).
             s = np.clip(sig.sigma, 0, 63).astype(np.uint64)
             up = np.clip(64 - sig.sigma, 1, 63).astype(np.uint64)
-            window = (late_lo >> s) | np.where(
-                sig.sigma > 0, late_hi << up, _u(0)
-            )
-            mask |= window & _u(mant_mask)
+            has_hi = sig.sigma > 0
+            for mask, _ in live:
+                late_lo, late_hi = lates.pop(0)
+                late_lo >>= s
+                late_hi <<= up
+                np.bitwise_or(late_lo, late_hi, out=late_lo, where=has_hi)
+                late_lo &= mant_mask
+                mask |= late_lo
+                del late_lo, late_hi
 
-        rparams = cfg.aux_params(cfg.round, op)
-        kr = rparams.k_star(threshold)
-        if not math.isinf(kr):
-            extent = bit_length64(sig.round_diff)
-            mask |= np.where(extent >= kr, sig.round_diff, _u(0))
-
-        eparams = cfg.exponent_params(op)
-        if eparams is not None:
-            ke = eparams.k_star(threshold)
-            if not math.isinf(ke):
-                k_eff = np.full(n, max(1, math.ceil(ke)), dtype=np.int64)
-                late_e = _run_late_mask(sig.exp_carry, sig.exp_prop, k_eff,
-                                        fmt.exponent_bits)
-                mask |= late_e << _u(fmt.exponent_lo)
-        return mask
-
-    def _mul_column_masks(self, sig_width: int, k_star: float):
-        """Depth k -> product-bit mask failing at k due to column height."""
-        if math.isinf(k_star):
-            return None
-        product_bits = 2 * sig_width
-        weight_cap = self.config.mul_column_weight
-        buckets: Dict[int, List[int]] = {}
-        for p in range(product_bits):
-            height = min(p, product_bits - 1 - p, sig_width - 1)
-            w = round(weight_cap * height / (sig_width - 1))
-            if w <= 0:
-                continue
-            k = max(1, math.ceil(k_star - w))
-            buckets.setdefault(k, []).append(p)
-        out = {}
-        for k, positions in buckets.items():
-            lo = hi = 0
-            for p in positions:
-                if p < 64:
-                    lo |= 1 << p
-                else:
-                    hi |= 1 << (p - 64)
-            out[k] = (lo, hi)
-        return out
+        self._round_masks(op, sig.round_diff, thresholds, masks)
+        self._exponent_masks(op, sig.exp_carry, sig.exp_prop, thresholds,
+                             masks)
+        return masks
 
     def _div_masks(self, op: FpOp, sig: stages.DivSignals,
-                   threshold: float) -> np.ndarray:
+                   thresholds: Sequence[float]) -> List[np.ndarray]:
         fmt = op.fmt
-        cfg = self.config
         n = sig.borrow_word.shape[0]
-        mant_mask = (1 << fmt.mantissa_bits) - 1
+        mant_mask = _u((1 << fmt.mantissa_bits) - 1)
+        masks = [np.zeros(n, dtype=np.uint64) for _ in thresholds]
 
-        mask = np.zeros(n, dtype=np.uint64)
-        params = cfg.mantissa_params(op)
-        ks = params.k_star(threshold)
-        if not math.isinf(ks):
-            k_eff = np.full(n, max(1, math.ceil(ks)), dtype=np.int64)
-            late_b = _run_late_mask(sig.borrow_word, sig.borrow_prop, k_eff,
-                                    fmt.mantissa_bits + 1)
-            # Digit-selection stress: equal-run words chain through
-            # themselves (every position of the run keeps selection hot).
-            late_q = _run_late_mask(sig.quotient_runs, sig.quotient_runs,
-                                    k_eff, fmt.mantissa_bits - 1)
-            late = (late_b | late_q) & _u(mant_mask)
+        live = _live(self.config.mantissa_params(op), thresholds, masks)
+        k_effs = [max(1, math.ceil(ks)) for _, ks in live]
+        lates_b = _run_late_mask(sig.borrow_word, sig.borrow_prop, k_effs,
+                                 fmt.mantissa_bits + 1)
+        # Digit-selection stress: equal-run words chain through themselves
+        # (every position of the run keeps selection hot).
+        lates_q = _run_late_mask(sig.quotient_runs, sig.quotient_runs,
+                                 k_effs, fmt.mantissa_bits - 1)
+        for mask, _ in live:
+            late = lates_b.pop(0)
+            late |= lates_q.pop(0)
+            late &= mant_mask
             # Iterative divider: once one iteration misses timing, the
             # stale partial remainder corrupts every subsequent (lower)
             # quotient digit — flip where the stale digits differ, which
@@ -465,22 +508,24 @@ class TimingModel:
                 _u(0),
             )
             mask |= late | (below & sig.golden_mantissa)
-        return mask
+        return masks
 
     def _conv_masks(self, op: FpOp, sig: stages.ConvSignals,
-                    threshold: float) -> np.ndarray:
-        cfg = self.config
-        n = sig.shift_depth.shape[0]
-        params = cfg.mantissa_params(op)
-        ks = params.k_star(threshold)
-        mask = np.zeros(n, dtype=np.uint64)
-        if math.isinf(ks):
-            return mask
-        late = sig.shift_depth >= ks
-        # A late shifter level leaves the low output bits stale.
-        extent = np.clip(sig.shift_depth - np.floor(ks) + 1, 1, 63)
-        burst = (_u(1) << extent.astype(np.uint64)) - _u(1)
-        return np.where(late, burst, _u(0))
+                    thresholds: Sequence[float]) -> List[np.ndarray]:
+        params = self.config.mantissa_params(op)
+        masks = []
+        for threshold in thresholds:
+            ks = params.k_star(threshold)
+            if math.isinf(ks):
+                masks.append(np.zeros(sig.shift_depth.shape[0],
+                                      dtype=np.uint64))
+                continue
+            late = sig.shift_depth >= ks
+            # A late shifter level leaves the low output bits stale.
+            extent = np.clip(sig.shift_depth - np.floor(ks) + 1, 1, 63)
+            burst = (_u(1) << extent.astype(np.uint64)) - _u(1)
+            masks.append(np.where(late, burst, _u(0)))
+        return masks
 
 
 #: Shared model instance with the calibrated default configuration.

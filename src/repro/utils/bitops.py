@@ -22,27 +22,19 @@ def popcount64(value: int) -> int:
 
 
 def count_ones(array: np.ndarray) -> np.ndarray:
-    """Vectorised population count for ``uint64`` arrays.
-
-    Uses the classic SWAR (SIMD-within-a-register) reduction so it stays
-    allocation-light even for multi-million element arrays.
-    """
-    v = array.astype(np.uint64, copy=True)
-    v = v - ((v >> _U64(1)) & _U64(0x5555555555555555))
-    v = (v & _U64(0x3333333333333333)) + ((v >> _U64(2)) & _U64(0x3333333333333333))
-    v = (v + (v >> _U64(4))) & _U64(0x0F0F0F0F0F0F0F0F)
-    return ((v * _U64(0x0101010101010101)) >> _U64(56)).astype(np.int64)
+    """Vectorised population count for ``uint64`` arrays (int64 result)."""
+    return np.bitwise_count(np.asarray(array, dtype=np.uint64)).astype(np.int64)
 
 
 def bit_length64(array: np.ndarray) -> np.ndarray:
-    """Vectorised ``int.bit_length`` for ``uint64`` arrays (0 for zero)."""
-    v = array.astype(np.uint64, copy=True)
-    v |= v >> _U64(1)
-    v |= v >> _U64(2)
-    v |= v >> _U64(4)
-    v |= v >> _U64(8)
-    v |= v >> _U64(16)
-    v |= v >> _U64(32)
+    """Vectorised ``int.bit_length`` for ``uint64`` arrays (0 for zero).
+
+    Smears the leading one down over every lower bit, in place on one
+    copy, then counts the ones.
+    """
+    v = np.array(array, dtype=np.uint64)
+    for shift in (1, 2, 4, 8, 16, 32):
+        v |= v >> _U64(shift)
     return count_ones(v)
 
 
@@ -89,67 +81,6 @@ def longest_carry_chain(a: int, b: int, width: int) -> int:
         if run > longest:
             longest = run
     return longest
-
-
-def carry_chain_lengths(a: np.ndarray, b: np.ndarray, width: int = 64) -> np.ndarray:
-    """Vectorised longest-carry-chain over ``uint64`` operand arrays.
-
-    Runs in O(width) vector passes: a carry chain of length L exists iff a
-    generate bit is followed by L-1 consecutive propagate bits, which we find
-    by binary-doubling over the propagate mask.
-    """
-    a = a.astype(np.uint64, copy=False)
-    b = b.astype(np.uint64, copy=False)
-    mask = _U64(MASK64 if width >= 64 else (1 << width) - 1)
-    generate = (a & b) & mask
-    propagate = (a ^ b) & mask
-    # chain[i] = 1 where a carry is alive entering bit i+1.
-    lengths = np.zeros(a.shape, dtype=np.int64)
-    alive = generate
-    # Each iteration extends surviving chains by one propagate position.
-    step = np.ones(a.shape, dtype=np.int64)
-    current = np.where(alive != 0, step, 0)
-    lengths = current.copy()
-    for _ in range(width - 1):
-        alive = (alive << _U64(1)) & propagate
-        if not alive.any():
-            break
-        current = current + 1
-        # A chain is alive at this length wherever alive != 0; record max.
-        np.maximum(lengths, np.where(alive != 0, current, 0), out=lengths)
-    return lengths
-
-
-def carry_arrival_positions(a: np.ndarray, b: np.ndarray, width: int = 64) -> np.ndarray:
-    """Per-operand-pair highest bit position still receiving a late carry.
-
-    Returns, for each element, the most-significant bit index that the
-    longest carry chain terminates at (0 if no carries at all).  Late-settling
-    output bits cluster at and above this position, which is what makes
-    timing-error bitmasks *data dependent* and multi-bit.
-    """
-    a = a.astype(np.uint64, copy=False)
-    b = b.astype(np.uint64, copy=False)
-    mask = _U64(MASK64 if width >= 64 else (1 << width) - 1)
-    generate = (a & b) & mask
-    propagate = (a ^ b) & mask
-    alive = generate
-    last_alive = generate.copy()
-    for _ in range(width - 1):
-        alive = (alive << _U64(1)) & propagate
-        if not alive.any():
-            break
-        nz = alive != 0
-        last_alive = np.where(nz, alive, last_alive)
-    return np.where(last_alive != 0, bit_length64(last_alive) - 1, 0)
-
-
-def trailing_zeros64(array: np.ndarray) -> np.ndarray:
-    """Vectorised count-trailing-zeros for ``uint64`` arrays (64 for zero)."""
-    v = array.astype(np.uint64, copy=False)
-    isolated = v & (~v + _U64(1))
-    out = bit_length64(isolated) - 1
-    return np.where(v == 0, 64, out)
 
 
 def reverse_bits(value: int, width: int) -> int:

@@ -107,32 +107,6 @@ class TestCarryChains:
         # 0b0001 + 0b1111: carry generated at bit 0 ripples to the top.
         assert bitops.longest_carry_chain(0b0001, 0b1111, 4) == 4
 
-    def test_vectorised_matches_scalar(self, rng):
-        a = rng.integers(0, 1 << 32, size=300, dtype=np.uint64)
-        b = rng.integers(0, 1 << 32, size=300, dtype=np.uint64)
-        lengths = bitops.carry_chain_lengths(a, b, width=32)
-        for x, y, length in zip(a, b, lengths):
-            assert length == bitops.longest_carry_chain(int(x), int(y), 32)
-
-    def test_arrival_positions_at_chain_end(self):
-        # Generate at bit 0, propagate through bits 1-3: ends at bit 3.
-        pos = bitops.carry_arrival_positions(
-            np.array([0b0001], dtype=np.uint64),
-            np.array([0b1111], dtype=np.uint64), width=4,
-        )
-        assert pos[0] == 3
-
-
-class TestTrailingZeros:
-    def test_zero_is_width(self):
-        assert bitops.trailing_zeros64(np.array([0], dtype=np.uint64))[0] == 64
-
-    def test_matches_reference(self, rng):
-        values = rng.integers(1, 1 << 63, size=300, dtype=np.uint64)
-        tz = bitops.trailing_zeros64(values)
-        for value, count in zip(values, tz):
-            assert count == (int(value) & -int(value)).bit_length() - 1
-
 
 class TestBitLists:
     @given(U64)

@@ -15,8 +15,6 @@ from repro.utils.bitops import (
     MASK64,
     bit_length64,
     bits_of,
-    carry_arrival_positions,
-    carry_chain_lengths,
     count_ones,
     extract_field,
     from_bits,
@@ -24,7 +22,6 @@ from repro.utils.bitops import (
     popcount64,
     reverse_bits,
     set_bits,
-    trailing_zeros64,
 )
 
 U64 = st.integers(min_value=0, max_value=MASK64)
@@ -87,45 +84,11 @@ def test_bits_round_trip(value, width):
     assert from_bits(bits) == value & ((1 << width) - 1)
 
 
-@given(U64_LISTS)
-def test_trailing_zeros_isolates_lowest_set_bit(values):
-    array = np.array(values, dtype=np.uint64)
-    zeros = trailing_zeros64(array)
-    for value, tz in zip(values, zeros):
-        tz = int(tz)
-        if value == 0:
-            assert tz == 64
-        else:
-            assert value % (1 << tz) == 0
-            assert (value >> tz) & 1 == 1
-
-
-@given(st.lists(st.tuples(U64, U64), min_size=1, max_size=16),
-       st.sampled_from([8, 17, 32, 64]))
-def test_carry_chains_match_scalar_oracle(pairs, width):
-    a = np.array([p[0] for p in pairs], dtype=np.uint64)
-    b = np.array([p[1] for p in pairs], dtype=np.uint64)
-    lengths = carry_chain_lengths(a, b, width)
-    expected = [longest_carry_chain(int(x), int(y), width)
-                for x, y in pairs]
-    assert list(lengths) == expected
-
-
-@given(st.lists(st.tuples(U64, U64), min_size=1, max_size=16), WIDTH)
-def test_carry_chain_invariants(pairs, width):
-    a = np.array([p[0] for p in pairs], dtype=np.uint64)
-    b = np.array([p[1] for p in pairs], dtype=np.uint64)
+@given(st.tuples(U64, U64), WIDTH)
+def test_carry_chain_invariants(pair, width):
+    x, y = pair
     mask = (1 << width) - 1
-    lengths = carry_chain_lengths(a, b, width)
-    positions = carry_arrival_positions(a, b, width)
-    assert int(lengths.min()) >= 0
-    assert int(lengths.max()) <= width
-    assert int(positions.max(initial=0)) < width
-    for x, y, length, pos in zip(a, b, lengths, positions):
-        generates = int(x) & int(y) & mask
-        # A chain exists iff some position generates a carry, and every
-        # chain terminates at or above a generate position.
-        assert (length > 0) == (generates != 0)
-        if generates:
-            assert pos >= trailing_zeros64(
-                np.array([generates], dtype=np.uint64))[0]
+    length = longest_carry_chain(x, y, width)
+    assert 0 <= length <= width
+    # A chain exists iff some position generates a carry.
+    assert (length > 0) == (x & y & mask != 0)
