@@ -26,7 +26,9 @@ Durability (journal format version 2):
 - every line carries a CRC32 of its canonical payload, so silent
   corruption (bit-rot, torn appends) is *detected* on load — a bad line
   is quarantined (skipped and counted), never replayed as data, and the
-  executor simply re-runs the missing index;
+  executor simply re-runs the missing index.  :func:`read_journal` is
+  the one reader, so resume, the canonical form, the shard merge and
+  the replayed views all quarantine alike;
 - a configurable fsync policy bounds what a power cut can lose:
   ``"group"`` (the default) fsyncs every ``fsync_every`` records or
   ``fsync_interval`` seconds, ``"always"`` fsyncs per record, and
@@ -44,7 +46,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -102,36 +104,6 @@ def _crc_ok(payload: dict) -> bool:
     return payload.get("crc") == _payload_crc(payload)
 
 
-def _parse_lines(path: Union[str, Path]) -> List[Optional[dict]]:
-    """Parse a journal into per-line payloads; torn lines are ``None``.
-
-    A version-1 journal (its meta line has no CRC) raises
-    :class:`JournalMismatch`: its lines would all fail the CRC check.
-    """
-    payloads: List[Optional[dict]] = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                parsed = json.loads(raw)
-            except json.JSONDecodeError:
-                payloads.append(None)
-                continue
-            if not isinstance(parsed, dict):
-                payloads.append(None)
-                continue
-            if (parsed.get("type") == "meta" and "crc" not in parsed
-                    and parsed.get("version") == 1):
-                raise JournalMismatch(
-                    f"journal {path} is a version-1 journal without "
-                    f"checksums, which is no longer read; start a new "
-                    f"journal")
-            payloads.append(parsed)
-    return payloads
-
-
 @dataclass
 class RunRecord:
     """One classified injection run, as journaled.
@@ -172,6 +144,94 @@ class RunRecord:
         return (self.workload, self.model, self.point)
 
 
+#: ``(workload, model, point)`` — one campaign cell.
+CellKey = Tuple[str, str, str]
+#: ``(workload, model, point, run_index)`` — one run.
+RunKey = Tuple[str, str, str, int]
+
+
+@dataclass
+class JournalContents:
+    """What a journal file verifiably holds (see :func:`read_journal`).
+
+    ``runs`` maps run keys to run-line payloads; ``cells`` and ``stops``
+    map cell keys to the cell-summary and stop-decision payloads.  The
+    last line of a key wins (resume and heal passes re-append), and keys
+    keep the order they first appeared in.  ``torn`` and
+    ``crc_failures`` count the quarantined lines.
+    """
+
+    seed: Optional[int] = None
+    runs: Dict[RunKey, dict] = field(default_factory=dict)
+    cells: Dict[CellKey, dict] = field(default_factory=dict)
+    stops: Dict[CellKey, dict] = field(default_factory=dict)
+    harness_errors: List[dict] = field(default_factory=list)
+    torn: int = 0
+    crc_failures: int = 0
+
+
+def read_journal(path: Union[str, Path]) -> JournalContents:
+    """Parse, verify and index one journal file.
+
+    The only journal reader: resume, :func:`canonical_journal`, the
+    shard merge and the replayed campaign views all read through it, so
+    every one of them sees the same runs.  A torn line (a kill
+    mid-write), a line that is not a JSON object and a run line missing
+    a key field count as ``torn``; a line whose CRC disowns it (bit-rot)
+    counts as a CRC failure.  Both are quarantined — dropped, never read
+    as data.  A version-1 journal (its meta line has no CRC) and a
+    journal whose meta lines disagree on the seed raise
+    :class:`JournalMismatch`.
+    """
+    contents = JournalContents()
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for raw in fh:
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                payload = json.loads(raw)
+            except json.JSONDecodeError:
+                payload = None
+            if not isinstance(payload, dict):
+                contents.torn += 1
+                continue
+            kind = payload.get("type")
+            if (kind == "meta" and "crc" not in payload
+                    and payload.get("version") == 1):
+                raise JournalMismatch(
+                    f"journal {path} is a version-1 journal without "
+                    f"checksums, which is no longer read; start a new "
+                    f"journal")
+            if not _crc_ok(payload):
+                contents.crc_failures += 1
+                continue
+            cell = (payload.get("workload"), payload.get("model"),
+                    payload.get("point"))
+            if kind == "meta":
+                if contents.seed is None:
+                    contents.seed = payload.get("seed")
+                elif payload.get("seed") != contents.seed:
+                    raise JournalMismatch(
+                        f"journal {path} mixes seeds {contents.seed} "
+                        f"and {payload.get('seed')}")
+            elif kind == "run":
+                try:
+                    key = (payload["workload"], payload["model"],
+                           payload["point"], int(payload["run_index"]))
+                except (KeyError, TypeError, ValueError):
+                    contents.torn += 1
+                    continue
+                contents.runs[key] = payload
+            elif kind == "cell":
+                contents.cells[cell] = payload
+            elif kind == "stop":
+                contents.stops[cell] = payload
+            elif kind == "harness_error":
+                contents.harness_errors.append(payload)
+    return contents
+
+
 class RunJournal:
     """Append-only JSONL journal of a campaign's runs.
 
@@ -200,10 +260,7 @@ class RunJournal:
             "records": 0, "fsyncs": 0, "write_errors": 0,
             "crc_failures": 0,
         }
-        self._runs: Dict[Tuple[str, str, str], Dict[int, RunRecord]] = {}
-        self._harness_errors: List[dict] = []
-        self._cells: List[dict] = []
-        self._stops: Dict[Tuple[str, str, str], dict] = {}
+        self._runs: Dict[CellKey, Dict[int, RunRecord]] = {}
         self._since_fsync = 0
         self._last_fsync = time.monotonic()
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -280,7 +337,6 @@ class RunJournal:
         payload = {"type": "harness_error", "key": key,
                    "attempt": attempt, "error": error}
         self._write(payload)
-        self._harness_errors.append(payload)
 
     def record_cell(self, result) -> None:
         """Summarise a completed cell (a ``CampaignResult``-shaped object)."""
@@ -293,7 +349,6 @@ class RunJournal:
             "degraded": bool(getattr(result, "degraded", False)),
         }
         self._write(payload)
-        self._cells.append(payload)
 
     def record_stop(self, workload: str, model: str, point: str,
                     decision) -> None:
@@ -309,58 +364,23 @@ class RunJournal:
                    "point": point}
         payload.update(decision.to_dict())
         self._write(payload)
-        self._stops[(workload, model, point)] = payload
 
     # -- reading ---------------------------------------------------------------
     def _load(self) -> None:
-        for payload in _parse_lines(self.path):
-            if payload is None:
-                # A kill mid-write truncates/tears the line; the
-                # affected run is simply re-executed on resume.
-                continue
-            if not _crc_ok(payload):
-                # Silent corruption (bit-rot): quarantine the line —
-                # never replay a record the checksum disowns.
-                self.stats["crc_failures"] += 1
-                continue
-            kind = payload.get("type")
-            if kind == "meta":
-                if payload.get("seed") != self.seed:
-                    raise JournalMismatch(
-                        f"journal {self.path} was written for seed "
-                        f"{payload.get('seed')}, not {self.seed}"
-                    )
-            elif kind == "run":
-                record = RunRecord.from_payload(payload)
-                self._runs.setdefault(record.cell, {})[
-                    record.run_index
-                ] = record
-            elif kind == "harness_error":
-                self._harness_errors.append(payload)
-            elif kind == "cell":
-                self._cells.append(payload)
-            elif kind == "stop":
-                key = (payload.get("workload"), payload.get("model"),
-                       payload.get("point"))
-                self._stops[key] = payload
+        contents = read_journal(self.path)
+        if contents.seed is not None and contents.seed != self.seed:
+            raise JournalMismatch(
+                f"journal {self.path} was written for seed "
+                f"{contents.seed}, not {self.seed}")
+        self.stats["crc_failures"] = contents.crc_failures
+        for payload in contents.runs.values():
+            record = RunRecord.from_payload(payload)
+            self._runs.setdefault(record.cell, {})[record.run_index] = record
 
     def completed_runs(self, workload: str, model: str,
                        point: str) -> Dict[int, RunRecord]:
         """Journaled runs of one cell, keyed by run index."""
         return dict(self._runs.get((workload, model, point), {}))
-
-    def harness_errors(self, key_prefix: str = "") -> List[dict]:
-        return [e for e in self._harness_errors
-                if e["key"].startswith(key_prefix)]
-
-    @property
-    def cells(self) -> List[dict]:
-        return list(self._cells)
-
-    def stop_decision(self, workload: str, model: str,
-                      point: str) -> Optional[dict]:
-        """The journaled stop payload of one adaptive cell, if any."""
-        return self._stops.get((workload, model, point))
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -389,39 +409,18 @@ def canonical_journal(path: Union[str, Path]) -> str:
     byte-identical.  Canonicalisation drops everything faults may
     legitimately perturb without changing the data — per-run wall
     clocks, retry counts, CRCs, harness-error lines, the meta line,
-    corrupt/torn lines — keeps the last occurrence of each run and cell
-    (a heal pass may re-append either), and sorts deterministically.
+    corrupt/torn lines — keeps the last occurrence of each run, cell
+    and stop (a heal pass may re-append any), and sorts by key.
     """
-    runs: Dict[tuple, str] = {}
-    cells: Dict[tuple, str] = {}
-    stops: Dict[tuple, str] = {}
-    for payload in _parse_lines(path):
-        if payload is None or not _crc_ok(payload):
-            continue
-        kind = payload.get("type")
-        if kind == "run":
-            entry = {k: v for k, v in payload.items()
-                     if k not in ("wall_ms", "retries", "crc")}
-            try:
-                key = (entry["workload"], entry["model"],
-                       entry["point"], entry["run_index"])
-            except KeyError:
-                continue
-            runs[key] = json.dumps(entry, sort_keys=True,
-                                   separators=(",", ":"))
-        elif kind == "cell":
-            entry = {k: v for k, v in payload.items() if k != "crc"}
-            key = (entry.get("workload"), entry.get("model"),
-                   entry.get("point"))
-            cells[key] = json.dumps(entry, sort_keys=True,
-                                    separators=(",", ":"))
-        elif kind == "stop":
-            entry = {k: v for k, v in payload.items() if k != "crc"}
-            key = (entry.get("workload"), entry.get("model"),
-                   entry.get("point"))
-            stops[key] = json.dumps(entry, sort_keys=True,
-                                    separators=(",", ":"))
-    lines = [runs[key] for key in sorted(runs)]
-    lines += [cells[key] for key in sorted(cells)]
-    lines += [stops[key] for key in sorted(stops)]
+    contents = read_journal(path)
+
+    def dump(payload: dict, drop=("crc",)) -> str:
+        return json.dumps({k: v for k, v in payload.items()
+                           if k not in drop},
+                          sort_keys=True, separators=(",", ":"))
+
+    lines = [dump(contents.runs[key], ("wall_ms", "retries", "crc"))
+             for key in sorted(contents.runs)]
+    lines += [dump(contents.cells[key]) for key in sorted(contents.cells)]
+    lines += [dump(contents.stops[key]) for key in sorted(contents.stops)]
     return "\n".join(lines) + ("\n" if lines else "")

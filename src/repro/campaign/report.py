@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import CampaignResult
 
@@ -99,28 +97,6 @@ def error_ratio_table(results: Sequence[CampaignResult],
         ["benchmark", "VR", "model", "error ratio", f"vs {reference_model}"],
         rows,
     )
-
-
-def ber_series(label: str, ber: np.ndarray, width: int = 64,
-               mantissa_bits: int = 52, exponent_bits: int = 11) -> str:
-    """One Fig. 6/7/8 panel: per-bit BER, MSB-first with S/E/M regions."""
-    parts = [f"{label}:"]
-    order = range(width - 1, -1, -1)
-    def region(bit: int) -> str:
-        if bit == width - 1:
-            return "S"
-        if bit >= mantissa_bits:
-            return "E"
-        return "M"
-    # Group and summarise: print non-zero bits individually, zeros elided.
-    nonzero = [(bit, ber[bit]) for bit in order if ber[bit] > 0]
-    if not nonzero:
-        parts.append("  (all bit positions error-free)")
-        return "\n".join(parts)
-    for bit, value in nonzero:
-        bar = "#" * max(1, int(round(40 * value / max(b for _, b in nonzero))))
-        parts.append(f"  bit {bit:2d} [{region(bit)}]  {value:.3e}  {bar}")
-    return "\n".join(parts)
 
 
 def feature_matrix(models: Iterable) -> str:

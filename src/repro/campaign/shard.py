@@ -58,7 +58,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.artifacts import ArtifactStore, encode_key
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
 from repro.campaign.fastforward import FastForwardConfig
-from repro.campaign.journal import _crc_ok, _parse_lines, _payload_crc
+from repro.campaign.journal import RunJournal, _payload_crc, read_journal
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import OperatingPoint
 from repro.errors import store as model_store
@@ -589,22 +589,12 @@ def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
     as journal resume quarantines them; empty inputs merge cleanly.
     Iteration order over ``paths`` never changes the output bytes.
     """
-    runs: Dict[tuple, dict] = {}
-    cells: Dict[tuple, dict] = {}
-    stops: Dict[tuple, dict] = {}
+    merged: Dict[str, Dict[tuple, dict]] = {"run": {}, "cell": {},
+                                             "stop": {}}
     owners: Dict[Tuple[str, tuple], str] = {}
     report = {"inputs": len(paths), "empty_inputs": 0, "torn_lines": 0,
               "crc_failures": 0, "harness_errors": 0,
               "runs": 0, "cells": 0, "stops": 0}
-
-    def _claim_key(kind: str, key: tuple, source: str) -> None:
-        previous = owners.setdefault((kind, key), source)
-        if previous != source:
-            raise MergeConflict(
-                f"{kind} key {'/'.join(str(k) for k in key)} appears in "
-                f"both {previous} and {source}: shard journals must "
-                f"partition the campaign's cells")
-
     for path in sorted(Path(p) for p in paths):
         source = path.name
         try:
@@ -614,48 +604,31 @@ def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
         except OSError:
             report["empty_inputs"] += 1
             continue
-        for payload in _parse_lines(path):
-            if payload is None:
-                report["torn_lines"] += 1
-                continue
-            if not _crc_ok(payload):
-                report["crc_failures"] += 1
-                continue
-            kind = payload.get("type")
-            if kind == "meta":
-                if payload.get("seed") != seed:
+        contents = read_journal(path)
+        if contents.seed is not None and contents.seed != seed:
+            raise MergeConflict(
+                f"{source} was journaled for seed {contents.seed}, "
+                f"not {seed}")
+        report["torn_lines"] += contents.torn
+        report["crc_failures"] += contents.crc_failures
+        report["harness_errors"] += len(contents.harness_errors)
+        for kind, table in (("run", contents.runs),
+                            ("cell", contents.cells),
+                            ("stop", contents.stops)):
+            for key, payload in table.items():
+                previous = owners.setdefault((kind, key), source)
+                if previous != source:
                     raise MergeConflict(
-                        f"{source} was journaled for seed "
-                        f"{payload.get('seed')}, not {seed}")
-            elif kind == "run":
-                try:
-                    key = (payload["workload"], payload["model"],
-                           payload["point"], int(payload["run_index"]))
-                except (KeyError, TypeError, ValueError):
-                    report["torn_lines"] += 1
-                    continue
-                _claim_key("run", key, source)
-                runs[key] = payload
-            elif kind == "cell":
-                key = (payload.get("workload"), payload.get("model"),
-                       payload.get("point"))
-                _claim_key("cell", key, source)
-                cells[key] = payload
-            elif kind == "stop":
-                key = (payload.get("workload"), payload.get("model"),
-                       payload.get("point"))
-                _claim_key("stop", key, source)
-                stops[key] = payload
-            elif kind == "harness_error":
-                report["harness_errors"] += 1
+                        f"{kind} key {'/'.join(str(k) for k in key)} "
+                        f"appears in both {previous} and {source}: shard "
+                        f"journals must partition the campaign's cells")
+                merged[kind][key] = payload
 
-    from repro.campaign.journal import RunJournal
 
     lines = [{"type": "meta", "version": RunJournal.VERSION,
               "seed": int(seed)}]
-    lines += [runs[key] for key in sorted(runs)]
-    lines += [cells[key] for key in sorted(cells)]
-    lines += [stops[key] for key in sorted(stops)]
+    for table in merged.values():
+        lines += [table[key] for key in sorted(table)]
     encoded = []
     for payload in lines:
         body = {k: v for k, v in payload.items() if k != "crc"}
@@ -665,7 +638,8 @@ def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
     durable.atomic_write_bytes(Path(out_path),
                                ("\n".join(encoded) + "\n").encode(),
                                target="journal")
-    report.update(runs=len(runs), cells=len(cells), stops=len(stops))
+    report.update(runs=len(merged["run"]), cells=len(merged["cell"]),
+                  stops=len(merged["stop"]))
     return report
 
 

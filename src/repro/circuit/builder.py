@@ -324,12 +324,3 @@ def build_lzc(width: int, name: str = "") -> Netlist:
 def bus_values(prefix: str, width: int, value: int):
     """Input assignment dict for a little-endian bus (includes nothing else)."""
     return {f"{prefix}[{i}]": (value >> i) & 1 for i in range(width)}
-
-
-def bus_from_values(values, prefix: str, width: int) -> int:
-    """Read a little-endian bus out of a net-value mapping."""
-    out = 0
-    for i in range(width):
-        if values[f"{prefix}[{i}]"]:
-            out |= 1 << i
-    return out

@@ -31,6 +31,7 @@ from pathlib import Path
 from repro import telemetry
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
 from repro.campaign.fastforward import DEFAULT_INTERVAL, FastForwardConfig
+from repro.campaign.journal import JournalMismatch
 from repro.campaign.report import executor_stats_table, outcome_table
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import TECHNOLOGY, VR15, VR20
@@ -187,7 +188,11 @@ def _cmd_campaign_sharded(args) -> int:
     control_plane = None
     if args.serve:
         from repro.observe.httpd import ControlPlane
-        from repro.observe.state import CampaignState, ShardStatus
+        from repro.observe.state import (
+            CampaignState,
+            ShardStatus,
+            journal_events,
+        )
 
         state = CampaignState(
             args.benchmark, args.seed,
@@ -216,7 +221,6 @@ def _cmd_campaign_sharded(args) -> int:
                       f"{summary['runs']} run(s)", file=sys.stderr)
         if state is not None:
             state.apply(ShardStatus(coordinator.status()))
-            state.close()
 
         if args.journal:
             _check_parent_dir(args.journal, "--journal")
@@ -226,6 +230,12 @@ def _cmd_campaign_sharded(args) -> int:
             merged_dir.mkdir(parents=True, exist_ok=True)
             merged_path = merged_dir / f"{campaign_id}.jsonl"
         report = coordinator.merge(merged_path)
+        if state is not None:
+            # The shards' runs reach the parent only through their
+            # journals: the final views are the merged journal's replay.
+            for event in journal_events(merged_path):
+                state.apply(event)
+            state.close()
     finally:
         if control_plane is not None:
             if args.serve_grace > 0:
@@ -971,7 +981,10 @@ def main(argv=None) -> int:
         "serve": _cmd_serve,
         "experiment": _cmd_experiment,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except JournalMismatch as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

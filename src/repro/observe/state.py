@@ -298,38 +298,25 @@ class CampaignState:
 def journal_events(journal_path: Union[str, Path]) -> Iterator[Any]:
     """Replay a journal as the event stream of the campaign that wrote it.
 
-    Reads the raw JSONL (torn tail tolerated), so running or killed
-    campaigns replay too.  Per cell, in order of first appearance: the
-    begin, one run per distinct run index (the last line wins), the stop
-    decision, and the end, whose result is rebuilt from the run lines
-    (``cell`` lines add the error ratio and the degraded flag).
+    Reads through :func:`~repro.campaign.journal.read_journal`, so torn
+    and CRC-failing lines are quarantined exactly as resume quarantines
+    them, and running or killed campaigns replay too.  Per cell, in
+    order of first appearance: the begin, one run per distinct run index
+    (the last line wins), the stop decision, and the end, whose result
+    is rebuilt from the run lines (``cell`` lines add the error ratio
+    and the degraded flag).
     """
     from repro.campaign.adaptive import StopDecision
     from repro.campaign.executor import CellStats
-    from repro.campaign.journal import RunRecord
+    from repro.campaign.journal import RunRecord, read_journal
     from repro.campaign.outcomes import Outcome, OutcomeCounts
     from repro.campaign.runner import CampaignResult
-    from repro.telemetry.sinks import read_trace
 
-    seed = 0
+    contents = read_journal(journal_path)
+    seed = int(contents.seed or 0)
     cells: Dict[tuple, Dict[int, dict]] = {}
-    summaries: Dict[tuple, dict] = {}
-    stops: Dict[tuple, dict] = {}
-    harness_errors = 0
-    for event in read_trace(journal_path):
-        kind = event.get("type")
-        key = (event.get("workload", "?"), event.get("model", "?"),
-               event.get("point", "?"))
-        if kind == "meta":
-            seed = int(event.get("seed", 0))
-        elif kind == "run":
-            cells.setdefault(key, {})[int(event.get("run_index", -1))] = event
-        elif kind == "cell":
-            summaries[key] = event
-        elif kind == "stop":
-            stops[key] = event
-        elif kind == "harness_error":
-            harness_errors += 1
+    for (workload, model, point, index), event in contents.runs.items():
+        cells.setdefault((workload, model, point), {})[index] = event
 
     outcomes = {o.value for o in Outcome}
     for (workload, model, point), runs in cells.items():
@@ -338,15 +325,13 @@ def journal_events(journal_path: Union[str, Path]) -> Iterator[Any]:
         counts = OutcomeCounts()
         for event in lines.values():
             counts.record(Outcome(event["outcome"]))
-        summary = summaries.get((workload, model, point), {})
-        stop = stops.get((workload, model, point))
+        summary = contents.cells.get((workload, model, point), {})
+        stop = contents.stops.get((workload, model, point))
         yield CellBegun(workload, model, point,
                         runs=int(stop["budget"]) if stop
                         else int(summary.get("runs", counts.total)))
-        for index, event in lines.items():
-            yield RunClassified(RunRecord.from_payload({
-                **event, "workload": workload, "model": model,
-                "point": point, "run_index": index}))
+        for event in lines.values():
+            yield RunClassified(RunRecord.from_payload(event))
         if stop is not None:
             yield StopDecided(StopDecision.from_dict(stop))
         stats = CellStats(
@@ -354,7 +339,8 @@ def journal_events(journal_path: Union[str, Path]) -> Iterator[Any]:
             executed=counts.total,
             watchdog_kills=sum(1 for e in lines.values() if e.get("watchdog")),
             retries=sum(int(e.get("retries", 0)) for e in lines.values()),
-            harness_errors=harness_errors if len(cells) == 1 else 0,
+            harness_errors=(len(contents.harness_errors)
+                            if len(cells) == 1 else 0),
             degraded=bool(summary.get("degraded", False)),
             wall_time=sum(float(e.get("wall_ms", 0.0))
                           for e in lines.values()) / 1000.0,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
+from repro.campaign.journal import read_journal
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import (
     CRASH_EXCEPTIONS,
@@ -262,7 +263,7 @@ class TestRetriesAndDegradation:
                                 journal_path=str(tmp_path / "j.jsonl"))
         with CampaignExecutor(runner, config) as executor:
             result = executor.run_cell(_TransientPlanModel(), VR20, runs=8)
-            errors = executor.journal.harness_errors()
+        errors = read_journal(tmp_path / "j.jsonl").harness_errors
         assert result.counts.total == 8
         assert result.stats.retries == 8
         assert result.stats.harness_errors == 8

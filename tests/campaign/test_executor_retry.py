@@ -18,6 +18,7 @@ from repro.campaign.executor import (
     CellStats,
     ExecutorConfig,
 )
+from repro.campaign.journal import read_journal
 from repro.circuit.liberty import VR20
 
 from tests.campaign.test_executor import (
@@ -126,7 +127,7 @@ class TestRecycledWorkerAccounting:
         with CampaignExecutor(runner, config) as executor:
             result = executor.run_cell(_KillFirstAttemptModel(tmp_path),
                                        VR20, runs=4)
-            errors = executor.journal.harness_errors()
+        errors = read_journal(tmp_path / "j.jsonl").harness_errors
         # Every run died once pre-guest, was retried and completed.
         assert result.counts.total == 4
         assert result.stats.harness_errors == 4

@@ -1,6 +1,7 @@
 """Tests for the append-only run journal."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,8 +10,12 @@ from repro.campaign.journal import (
     RunJournal,
     RunRecord,
     canonical_journal,
+    read_journal,
     run_key,
 )
+from repro.campaign.shard import merge_journals
+from repro.observe.html_report import load_campaign_results
+from repro.observe.state import CampaignState, RunClassified, journal_events
 from repro.utils import durable
 
 
@@ -72,8 +77,9 @@ class TestJournal:
         assert runs[0].outcome == "Crash"
         assert runs[0].uarch_masked == 2
         assert runs[1].injected is False
-        assert loaded.harness_errors("wl/WA/VR20")[0]["error"] == "boom"
         loaded.close()
+        errors = read_journal(path).harness_errors
+        assert [e["error"] for e in errors] == ["boom"]
 
     def test_cells_are_isolated(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -185,7 +191,8 @@ class TestJournalDurability:
 
     def test_v1_journal_rejected(self, tmp_path):
         """A CRC-less v1 journal is refused with a clear message rather
-        than resumed from zero with every line counted as corrupt."""
+        than resumed from zero with every line counted as corrupt, and
+        the replayed views refuse it alike."""
         path = tmp_path / "j.jsonl"
         lines = [
             {"type": "meta", "version": 1, "seed": 11},
@@ -195,8 +202,10 @@ class TestJournalDurability:
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
         with pytest.raises(JournalMismatch, match="start a new journal"):
             RunJournal.open(path, seed=11, resume=True)
-        with pytest.raises(JournalMismatch, match="version-1"):
-            canonical_journal(path)
+        for reader in (canonical_journal, load_campaign_results,
+                       CampaignState.replay):
+            with pytest.raises(JournalMismatch, match="version-1"):
+                reader(path)
 
     def test_fsync_always_fsyncs_per_record(self, tmp_path):
         with RunJournal.open(tmp_path / "j.jsonl", seed=11,
@@ -304,3 +313,93 @@ class TestCanonicalJournal:
             journal.record_run(r_da)
             journal.record_run(r_wa)
         assert canonical_journal(a) == canonical_journal(b)
+
+
+def _defective_journal(path):
+    """Five runs, then three defects a reader must quarantine: run 1
+    rotted Masked→SDC, run 2's index rotted 2→9 (both fail their CRC),
+    and a torn tail.  What verifiably remains is runs 0, 3 and 4."""
+    outcomes = ["Masked", "Masked", "Masked", "SDC", "Timeout"]
+    with RunJournal.open(path, seed=11) as journal:
+        for index, outcome in enumerate(outcomes):
+            journal.record_run(_record(index, outcome=outcome))
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace('"outcome":"Masked"', '"outcome":"SDC"')
+    lines[3] = lines[3].replace('"run_index":2', '"run_index":9')
+    lines.append('{"type":"run","seed":11,"workload":"wl","model":"WA",'
+                 '"point":"VR20","run_index":5,"outc')
+    path.write_text("\n".join(lines))
+    return path
+
+
+def _resumed_runs(path):
+    journal = RunJournal(path, seed=11, resume=True)
+    journal.close()
+    return {index: record.outcome for index, record
+            in journal.completed_runs("wl", "WA", "VR20").items()}
+
+
+def _canonical_runs(path):
+    lines = [json.loads(line)
+             for line in canonical_journal(path).splitlines()]
+    return {line["run_index"]: line["outcome"] for line in lines
+            if line["type"] == "run"}
+
+
+def _merged_runs(path):
+    merged = path.with_name("merged.jsonl")
+    merge_journals([path], merged, seed=11)
+    return _canonical_runs(merged)
+
+
+def _replayed_runs(path):
+    return {event.record.run_index: event.record.outcome
+            for event in journal_events(path)
+            if isinstance(event, RunClassified)}
+
+
+def _result_counts(path):
+    tally = Counter()
+    for result in load_campaign_results(path):
+        tally.update({o.value: n for o, n in result.counts.counts.items()})
+    return +tally
+
+
+def _state_counts(path):
+    return +Counter(CampaignState.replay(path).snapshot().outcomes)
+
+
+_RUN_READERS = {"resume": _resumed_runs, "canonical": _canonical_runs,
+                "merge": _merged_runs, "journal_events": _replayed_runs}
+
+
+class TestOneReader:
+    """Every journal consumer sees the same verified runs."""
+
+    VERIFIED = {0: "Masked", 3: "SDC", 4: "Timeout"}
+
+    @pytest.mark.parametrize("reader", sorted(_RUN_READERS))
+    def test_reader_sees_the_verified_runs(self, tmp_path, reader):
+        path = _defective_journal(tmp_path / "j.jsonl")
+        assert _RUN_READERS[reader](path) == self.VERIFIED
+
+    @pytest.mark.parametrize("counts", [_result_counts, _state_counts],
+                             ids=["load_campaign_results", "replay"])
+    def test_view_counts_the_verified_runs(self, tmp_path, counts):
+        path = _defective_journal(tmp_path / "j.jsonl")
+        assert counts(path) == Counter(self.VERIFIED.values())
+
+    def test_read_journal_counts_what_it_dropped(self, tmp_path):
+        contents = read_journal(_defective_journal(tmp_path / "j.jsonl"))
+        assert contents.seed == 11
+        assert [key[3] for key in contents.runs] == [0, 3, 4]
+        assert (contents.torn, contents.crc_failures) == (1, 2)
+
+    def test_mixed_seed_meta_lines_rejected(self, tmp_path):
+        path, other = tmp_path / "j.jsonl", tmp_path / "other.jsonl"
+        RunJournal.open(path, seed=11).close()
+        RunJournal.open(other, seed=12).close()
+        with open(path, "a") as fh:
+            fh.write(other.read_text())
+        with pytest.raises(JournalMismatch, match="mixes seeds"):
+            read_journal(path)

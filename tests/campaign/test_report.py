@@ -1,10 +1,7 @@
 """Tests for the plain-text report renderers."""
 
-import numpy as np
-
 from repro.campaign.outcomes import Outcome, OutcomeCounts
 from repro.campaign.report import (
-    ber_series,
     error_ratio_table,
     feature_matrix,
     format_table,
@@ -60,26 +57,6 @@ class TestErrorRatioTable:
     def test_reference_has_no_fold(self):
         text = error_ratio_table([_result("cg", "WA", "VR15", 1, 1e-4)])
         assert "x" not in text.split("\n")[-1].split()[-1]
-
-
-class TestBerSeries:
-    def test_nonzero_bits_rendered(self):
-        ber = np.zeros(64)
-        ber[51] = 0.01
-        ber[30] = 0.002
-        text = ber_series("fp.mul.d VR20", ber)
-        assert "bit 51" in text and "[M]" in text
-        assert "#" in text
-
-    def test_regions_annotated(self):
-        ber = np.zeros(64)
-        ber[63] = 0.1
-        ber[60] = 0.1
-        text = ber_series("x", ber)
-        assert "[S]" in text and "[E]" in text
-
-    def test_all_zero(self):
-        assert "error-free" in ber_series("x", np.zeros(64))
 
 
 class TestFeatureMatrix:

@@ -187,6 +187,27 @@ class TestControlPlaneCli:
             main(["serve", "--journal", str(journal)])
         assert "no campaign results" in str(excinfo.value)
 
+    def test_foreign_journal_is_a_clean_error(self, tmp_path, capsys):
+        """A journal of another seed (resume) or format (serve, report)
+        exits with one error line, not a traceback."""
+        journal = tmp_path / "j.jsonl"
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "2",
+                     "--vr", "20", "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "2",
+                  "--vr", "20", "--seed", "99", "--journal", str(journal),
+                  "--resume"])
+        assert str(excinfo.value).startswith("error: journal ")
+        assert "not 99" in str(excinfo.value)
+        v1 = tmp_path / "v1.jsonl"
+        v1.write_text('{"type":"meta","version":1,"seed":11}\n')
+        for argv in (["serve", "--journal", str(v1), "--duration", "0"],
+                     ["report", "--journal", str(v1),
+                      "--html", str(tmp_path / "r.html")]):
+            with pytest.raises(SystemExit, match="^error: .*version-1"):
+                main(argv)
+
     def test_trace_summary_appends_span_table(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
@@ -257,6 +278,49 @@ class TestShardedCampaignCLI:
                      "--campaign-id", "cli-rt",
                      "--journal", str(merged)]) == 0
         assert merged.read_bytes() == first
+
+    def test_sharded_serve_final_views_are_the_merged_replay(self, tmp_path,
+                                                            capsys):
+        """The parent's final `/status` and `/metrics` replay the merged
+        journal, as `repro serve` would."""
+        import json
+        import threading
+        import urllib.request
+
+        from repro.observe.state import CampaignState
+
+        merged = tmp_path / "merged.jsonl"
+        port_file = tmp_path / "port.txt"
+        thread = threading.Thread(target=main, args=([
+            "campaign", "kmeans", "--scale", "tiny", "--runs", "6",
+            "--vr", "15", "20", "--shards", "2",
+            "--store", str(tmp_path / "store"), "--journal", str(merged),
+            "--serve", "--metrics-port", "0", "--port-file", str(port_file),
+            "--serve-grace", "5"],), daemon=True)
+        thread.start()
+
+        def get(path):
+            port = int(port_file.read_text().strip())
+            url = f"http://127.0.0.1:{port}{path}"
+            with urllib.request.urlopen(url, timeout=5) as resp:
+                return resp.read().decode()
+
+        status = None
+        for _ in range(1200):
+            if port_file.exists() and port_file.read_text().strip():
+                status = json.loads(get("/status"))
+                if status["finished"]:
+                    break
+            time.sleep(0.05)
+        assert status is not None and status["finished"]
+        metrics = get("/metrics")
+        thread.join(timeout=60)
+        replayed = CampaignState.replay(merged).snapshot()
+        assert replayed.runs_done == 12
+        assert status["runs_done"] == replayed.runs_done
+        assert status["outcomes"] == replayed.outcomes
+        assert (f"repro_campaign_runs_total {replayed.runs_done}\n"
+                in metrics)
 
     def test_shard_worker_joins_and_reports(self, tmp_path, capsys):
         """`repro shard-worker` drains a campaign created by the
