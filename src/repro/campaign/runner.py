@@ -229,15 +229,17 @@ class CampaignRunner:
         profile = ctx.profile(self.workload.name, self.workload.ops_per_fp)
 
         mix = MIXES.get(self.workload.mix_name, MIXES["default"])
-        window = synthesize_trace(
-            self.workload.name, ctx.fp_op_sequence(), mix=mix,
-            seed=self.seed,
-        )
-        schedule = self.core.simulate(
-            window,
-            total_fp_instructions=profile.fp_instructions,
-            ops_per_fp=mix.ops_per_fp,
-        )
+        with telemetry.span("uarch.trace"):
+            window = synthesize_trace(
+                self.workload.name, ctx.fp_op_sequence(), mix=mix,
+                seed=self.seed,
+            )
+        with telemetry.span("uarch.ooo"):
+            schedule = self.core.simulate(
+                window,
+                total_fp_instructions=profile.fp_instructions,
+                ops_per_fp=mix.ops_per_fp,
+            )
         profile.golden_cycles = schedule.total_cycles
         masking = MaskingProfile.from_schedule(schedule)
         self._golden = GoldenRun(

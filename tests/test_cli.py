@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import time
 
 import pytest
@@ -139,7 +140,6 @@ class TestControlPlaneCli:
 
     def test_serve_command_rebuilds_endpoints_post_hoc(self, tmp_path,
                                                        capsys):
-        import json
         import threading
         import urllib.request
 
@@ -217,6 +217,14 @@ class TestControlPlaneCli:
         out = capsys.readouterr().out
         assert "span summary (by total time)" in out
         assert "campaign.run" in out
+        # The golden build's layers, under the perfbench layer names.
+        assert "uarch.trace" in out
+        assert "uarch.ooo" in out
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        paths = sorted(e["path"] for e in spans if e["type"] == "span"
+                       and e["path"].startswith("campaign.golden"))
+        assert paths == ["campaign.golden", "campaign.golden/uarch.ooo",
+                         "campaign.golden/uarch.trace"]
 
     def test_trace_explain_includes_stitched_spans(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -283,7 +291,6 @@ class TestShardedCampaignCLI:
                                                             capsys):
         """The parent's final `/status` and `/metrics` replay the merged
         journal, as `repro serve` would."""
-        import json
         import threading
         import urllib.request
 
@@ -325,7 +332,6 @@ class TestShardedCampaignCLI:
     def test_shard_worker_joins_and_reports(self, tmp_path, capsys):
         """`repro shard-worker` drains a campaign created by the
         coordinator and prints a JSON summary."""
-        import json
 
         from repro.artifacts import ArtifactStore
         from repro.campaign.fastforward import FastForwardConfig

@@ -1,13 +1,14 @@
 """Bit-identity oracle for the OoO scheduler and trace synthesis.
 
 ``OoOCore.simulate`` is one plain-Python pass; ``synthesize_trace``
-makes its generator calls in one plain-Python pass and assembles the
-columns with numpy.  The reference implementations below are frozen
-copies of the earlier per-instruction loops (numpy scalar indexing, full
-fetch/issue/writeback/commit arrays, an ``emit`` closure).  Every
-``PipelineSchedule`` field, every ``TraceWindow`` column and every dtype
-must match them exactly, and the golden windows and schedules of three
-benchmarks are pinned by digest.
+decodes the raw words of its PCG64 stream in blocks, walks the draw
+cursor in one plain-Python pass and gathers the columns with numpy.
+The reference implementations below are frozen copies of the earlier
+per-instruction loops (numpy scalar indexing, full
+fetch/issue/writeback/commit arrays, an ``emit`` closure, one generator
+call per draw).  Every ``PipelineSchedule`` field, every ``TraceWindow``
+column and every dtype must match them exactly, and the golden windows
+and schedules of every benchmark are pinned by digest.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.uarch.trace import (  # noqa: E402
     synthesize_trace,
 )
 from repro.utils.rng import RngStream  # noqa: E402
-from repro.workloads import make_workload  # noqa: E402
+from repro.workloads import WORKLOADS, make_workload  # noqa: E402
 
 
 # -- frozen reference implementations -----------------------------------------
@@ -436,33 +437,72 @@ class TestSynthesizeMatchesReference:
                            branch_mispredict=mispredict)
         except ValueError:
             hypothesis.assume(False)
+        window = synthesize_trace("x", ops, mix=mix, seed=seed,
+                                  max_window=max_window)
         _assert_identical(
-            synthesize_trace("x", ops, mix=mix, seed=seed,
-                             max_window=max_window),
+            window,
             _reference_synthesize_trace("x", ops, mix=mix, seed=seed,
                                         max_window=max_window))
+        # One FP instruction and its fillers may alone exceed max_window.
+        assert len(window) <= max(max_window, 1 + int(ops_per_fp))
 
 
-#: sha256 of the golden TraceWindow and PipelineSchedule at scale small,
-#: seed 2021, as built by the per-instruction numpy implementations.
+#: sha256 of the golden TraceWindow and PipelineSchedule of every
+#: benchmark at scale small, plus hotspot at scale paper (the golden the
+#: ``campaign_cells`` benchmark restores into), seed 2021.  All were
+#: computed with the per-instruction numpy implementations (commit
+#: fe9dc4f, one generator call per draw), before trace synthesis decoded
+#: raw words.
 GOLDEN_DIGESTS = {
-    "cg": (
+    ("bt", "small"): (
+        "dddedfabda8d9388fea242b4749ca4455cb8796d478e34aa5496930d78e3cf00",
+        "862c68249aafcbb1b36f179c1b014ae74f99461affe9580e6f024e65ea48542c",
+    ),
+    ("cg", "small"): (
         "89be4e18b9d44ea01df40f23861641d2e6854adae074f5ffa39337ad05f52457",
         "5717edb9b6ab09a1568b0b6c0cd984cff8ac06a39615b772e0674bfb9f351c45",
     ),
-    "hotspot": (
+    ("hotspot", "small"): (
         "a48c03121629f59909584e503d49cd73f131f4ab656a794e86e3bcae757fec01",
         "09b3d2f1c9c4ae1f0daed463a1cdec4f98ab91997511da8a5a31683b08dbf8c1",
     ),
-    "is": (
+    ("is", "small"): (
         "962b5e920928f03398a751c50c3df494aa6180b52622ca907513864a99f12f66",
         "b59052068b89c860494136ee862cbad0f12fc0e1a65d7d52c8dd256ef1e136d5",
+    ),
+    ("kmeans", "small"): (
+        "133029f6f98cfd2094090bf8b6485dcc4aaac15373bef7f4399c45263ccd86d9",
+        "72b53a83705454f85c6053ab96e237d3a08e7468a888359017b0fd200bff141b",
+    ),
+    ("mg", "small"): (
+        "f6ffe2487dc3f76665b028fe3f2b45d80c4b72c4d5835062fc5422d95ca9d225",
+        "34659461b234b905edb837688454ad36cece2dfd9f66d371ae8e2ef00f9f6171",
+    ),
+    ("sobel", "small"): (
+        "fbf445b763ffc58156e278b2c0600e93efd1183daa3212f8075788db1349e5b6",
+        "97cf7065adb6cfa1efd34df69723da59d5868e3a7e4e60f14bf3629c763dadf3",
+    ),
+    ("srad_v1", "small"): (
+        "dcf240d63c1c0fa2f692b8be4af55ab68062402b9b74cf57767e643cab70ba99",
+        "4cddd6999fd0dda780d913916467fa9cbe753ac82a7726d4e8671a94db306fd1",
+    ),
+    ("hotspot", "paper"): (
+        "1478e767a10562843f3d3b4d2cfb3605a765417081af61bb291e525005a668f5",
+        "442ab58510013d92aeb582e435be5237c744fdf97af5022d0122bb8b2f1b44a9",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_golden_digests_pinned(name, monkeypatch):
+def test_every_workload_pinned():
+    assert {name for name, scale in GOLDEN_DIGESTS
+            if scale == "small"} == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("name,scale", [
+    pytest.param(name, scale, id=name if scale == "small"
+                 else f"{name}-{scale}")
+    for name, scale in sorted(GOLDEN_DIGESTS)])
+def test_golden_digests_pinned(name, scale, monkeypatch):
     windows = []
 
     def recording_synthesize(*args, **kwargs):
@@ -471,9 +511,9 @@ def test_golden_digests_pinned(name, monkeypatch):
         return window
 
     monkeypatch.setattr(runner_mod, "synthesize_trace", recording_synthesize)
-    runner = CampaignRunner(make_workload(name, scale="small", seed=2021),
+    runner = CampaignRunner(make_workload(name, scale=scale, seed=2021),
                             seed=2021)
     golden = runner.golden()
     assert len(windows) == 1
     assert (_digest(windows[0]), _digest(golden.schedule)) == \
-        GOLDEN_DIGESTS[name]
+        GOLDEN_DIGESTS[name, scale]
