@@ -35,13 +35,7 @@ from repro.campaign.journal import JournalMismatch
 from repro.campaign.report import executor_stats_table, outcome_table
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import TECHNOLOGY, VR15, VR20
-from repro.errors import (
-    characterize_da,
-    characterize_ia,
-    characterize_wa,
-    make_pipeline,
-    store,
-)
+from repro.errors import characterize_wa, make_pipeline, store
 from repro.experiments import REGISTRY, get_experiment
 from repro.workloads import WORKLOADS, make_workload
 
@@ -68,12 +62,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    from repro.fpu.unit import FPU
-
     points = _points_for(args.vr)
-    fpu = FPU()
     pipeline = make_pipeline(args.workers, args.chunk, args.cache_dir,
-                             use_cache=not args.no_cache, fpu=fpu)
+                             use_cache=not args.no_cache)
     workload = make_workload(args.benchmark, scale=args.scale,
                              seed=args.seed)
     runner = CampaignRunner(workload, seed=args.seed)
@@ -83,25 +74,25 @@ def _cmd_characterize(args) -> int:
 
     if args.model in ("wa", "all"):
         path = store.save_wa(
-            characterize_wa(profile, points, fpu=fpu, pipeline=pipeline),
+            pipeline.characterize_wa(profile, points),
             out_dir / f"wa_{args.benchmark}.json")
         print(f"wrote {path}")
     if args.model in ("ia", "all"):
         path = store.save_ia(
-            characterize_ia(points, fpu=fpu, samples_per_op=args.samples,
-                            seed=args.seed, pipeline=pipeline),
+            pipeline.characterize_ia(points, samples_per_op=args.samples,
+                                     seed=args.seed),
             out_dir / "ia.json",
         )
         print(f"wrote {path}")
     if args.model in ("da", "all"):
         path = store.save_da(
-            characterize_da([profile], points, fpu=fpu,
-                            sample_per_point=args.samples, seed=args.seed,
-                            pipeline=pipeline),
+            pipeline.characterize_da([profile], points,
+                                     sample_per_point=args.samples,
+                                     seed=args.seed),
             out_dir / "da.json",
         )
         print(f"wrote {path}")
-    if pipeline is not None and pipeline.cache is not None:
+    if pipeline.cache is not None:
         stats = pipeline.cache.stats()
         print(f"cache: {stats['hit']} hit(s), {stats['miss']} miss(es), "
               f"{stats['invalid']} invalid at {pipeline.cache.root}")
@@ -717,10 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=2021)
     p.add_argument("--output", default="artifacts")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, default=0,
                    help="characterization worker processes "
-                        "(unset = legacy serial path; 0 = pipeline, "
-                        "in-process)")
+                        "(0 = in-process; any count is bit-identical)")
     p.add_argument("--chunk", type=int, default=None,
                    help="operand chunk size streamed through DTA "
                         "(bounds peak memory; result is bit-identical "

@@ -6,11 +6,12 @@
 - :mod:`repro.errors.ia` — instruction-aware statistical model,
 - :mod:`repro.errors.wa` — the proposed instruction- and workload-aware
   model backed by trace-level dynamic timing analysis,
-- :mod:`repro.errors.characterize` — the model-development phase drivers
-  that build all three from DTA (the serial reference implementation),
-- :mod:`repro.errors.pipeline` — the parallel, content-addressed
-  characterization engine (worker pool, chunk-invariant RNG blocks,
-  on-disk model cache).
+- :mod:`repro.errors.characterize` — the IA random-operand source and
+  gate-level DTA characterisation,
+- :mod:`repro.errors.pipeline` — the characterization engine that
+  builds all three models from DTA (worker pool, chunk-invariant RNG
+  blocks, on-disk model cache) and its entry points
+  ``characterize_ia`` / ``characterize_da`` / ``characterize_wa``.
 """
 
 from repro.errors.base import (
@@ -24,10 +25,7 @@ from repro.errors.ia import IaModel
 from repro.errors.wa import WaModel
 from repro.errors.characterize import (
     GateCharacterization,
-    characterize_da,
     characterize_gate,
-    characterize_ia,
-    characterize_wa,
     random_operands,
     random_vector_words,
 )
@@ -37,6 +35,9 @@ from repro.errors.pipeline import (
     PipelineConfig,
     PipelineError,
     cache_key,
+    characterize_da,
+    characterize_ia,
+    characterize_wa,
     make_pipeline,
     trace_digest,
 )

@@ -1,40 +1,33 @@
-"""Model-development phase: build the three error models from DTA.
+"""Operand sources and gate-level DTA for the model-development phase.
 
-Mirrors Fig. 2's left half.  All characterisation goes through the same
-:class:`repro.fpu.unit.FPU` DTA backend; the models differ only in what
-operands they feed it (the point of the paper):
+Mirrors Fig. 2's left half.  The three error models differ only in what
+operands they feed DTA (the point of the paper):
 
 - DA: operands randomly extracted from the benchmark mix, collapsed to one
   fixed number per voltage,
-- IA: uniformly distributed random operands per instruction type,
+- IA: uniformly distributed random operands per instruction type
+  (:func:`random_operands`),
 - WA: the workload's own dynamic operand trace.
+
+:mod:`repro.errors.pipeline` builds all three; this module holds the
+random operand source it draws from and the gate-level analogue,
+:func:`characterize_gate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuit.backend import DEFAULT_TIMING_BACKEND, make_timing_backend
 from repro.circuit.bitsim import AUTO_NUMPY_LANES
-from repro.circuit.liberty import OperatingPoint
 from repro.circuit.netlist import Netlist
-from repro.errors.base import Provenance, WorkloadProfile
-from repro.errors.da import DaModel
-from repro.errors.ia import IaModel, InstructionStats
-from repro.errors.wa import TraceFaults, WaModel
 from repro.fpu import ops
-from repro.fpu.formats import ALL_OPS, FpOp
-from repro.fpu.unit import FPU
+from repro.fpu.formats import FpOp
 from repro.utils.rng import RngStream
 from repro import telemetry
-
-#: Default operand sample per instruction type (paper: 1e6; Fig. 6 shows
-#: the convergence that justifies smaller development-time samples).
-DEFAULT_SAMPLE = 100_000
-
 
 def random_operands(op: FpOp, n: int, rng: RngStream,
                     magnitude: float = 1000.0
@@ -186,164 +179,3 @@ def _per_bit_counts(masks: np.ndarray, width: int) -> np.ndarray:
     octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
     bits = np.unpackbits(octets, bitorder="little").reshape(-1, 64)
     return bits.sum(axis=0, dtype=np.int64)[:width]
-
-
-@telemetry.timed("characterize.ia")
-def characterize_ia(points: Sequence[OperatingPoint],
-                    fpu: Optional[FPU] = None,
-                    samples_per_op: int = DEFAULT_SAMPLE,
-                    seed: int = 2021,
-                    ops_under_test: Optional[Iterable[FpOp]] = None,
-                    pipeline: Optional["CharacterizationPipeline"] = None,
-                    ) -> IaModel:
-    """Build the IA-model: DTA on random operands per instruction type.
-
-    This run also yields the Fig. 7 data (per-bit injection probabilities
-    per instruction type and VR level) via
-    :meth:`repro.errors.ia.InstructionStats.unconditional_ber`.
-
-    With ``pipeline`` given, delegates to the parallel, cache-aware
-    engine of :mod:`repro.errors.pipeline` (chunk-invariant RNG-block
-    operand streams; statistically equivalent to, but a different
-    sample stream than, this serial reference).
-    """
-    if pipeline is not None:
-        return pipeline.characterize_ia(
-            points, samples_per_op=samples_per_op, seed=seed,
-            ops_under_test=ops_under_test)
-    fpu = fpu or FPU()
-    rng = RngStream(seed, "ia-characterization")
-    stats: Dict[str, Dict[FpOp, InstructionStats]] = {
-        point.name: {} for point in points
-    }
-    for op in (ops_under_test or ALL_OPS):
-        with telemetry.span("characterize.ia.op", op=op.value):
-            a, b = random_operands(op, samples_per_op, rng.child(op.value))
-            batch = fpu.dta(op, a, b, points)
-        telemetry.count("characterize.ia.samples", samples_per_op)
-        for point in points:
-            masks = batch.masks[point.name]
-            faulty = masks[masks != 0]
-            ratio = faulty.size / samples_per_op
-            counts = _per_bit_counts(faulty, op.fmt.width)
-            conditional = (counts / faulty.size) if faulty.size else (
-                np.zeros(op.fmt.width)
-            )
-            stats[point.name][op] = InstructionStats(
-                error_ratio=ratio,
-                bit_probabilities=conditional,
-                sample_size=samples_per_op,
-            )
-    model = IaModel(stats)
-    model.provenance = Provenance(
-        seed=seed, samples=samples_per_op,
-        points=tuple(point.name for point in points),
-    )
-    return model
-
-
-@telemetry.timed("characterize.da")
-def characterize_da(profiles: Sequence[WorkloadProfile],
-                    points: Sequence[OperatingPoint],
-                    fpu: Optional[FPU] = None,
-                    sample_per_point: int = DEFAULT_SAMPLE,
-                    seed: int = 2021,
-                    pipeline: Optional["CharacterizationPipeline"] = None,
-                    ) -> DaModel:
-    """Build the DA-model: one fixed ER per point from the benchmark mix.
-
-    Follows Section IV.C.1: instructions are randomly extracted from the
-    considered benchmarks (their recorded traces), DTA measures the mean
-    error ratio, and that single number becomes the model.
-    """
-    if pipeline is not None:
-        return pipeline.characterize_da(
-            profiles, points, sample_per_point=sample_per_point, seed=seed)
-    fpu = fpu or FPU()
-    rng = RngStream(seed, "da-characterization")
-    ratios: Dict[str, float] = {}
-    pool: List[Tuple[FpOp, np.ndarray, Optional[np.ndarray]]] = []
-    for profile in profiles:
-        for op, (a, b) in profile.trace_by_op.items():
-            if a.size:
-                pool.append((op, a, b))
-    if not pool:
-        raise ValueError("DA characterisation needs at least one non-empty trace")
-    total_weight = sum(a.size for _, a, _ in pool)
-    for point in points:
-        faulty = 0
-        analysed = 0
-        for op, a, b in pool:
-            take = max(1, int(round(sample_per_point * a.size / total_weight)))
-            take = min(take, a.size)
-            sel = rng.integers(0, a.size, size=take)
-            aa = a[sel]
-            bb = b[sel] if b is not None else None
-            batch = fpu.dta(op, aa, bb, [point])
-            faulty += int(np.count_nonzero(batch.masks[point.name]))
-            analysed += take
-        telemetry.count("characterize.da.samples", analysed)
-        ratios[point.name] = faulty / analysed if analysed else 0.0
-    model = DaModel(ratios)
-    model.provenance = Provenance(
-        benchmark="+".join(profile.name for profile in profiles),
-        seed=seed, samples=sample_per_point,
-        points=tuple(point.name for point in points),
-    )
-    return model
-
-
-@telemetry.timed("characterize.wa")
-def characterize_wa(profile: WorkloadProfile,
-                    points: Sequence[OperatingPoint],
-                    fpu: Optional[FPU] = None,
-                    max_samples: int = 1_000_000,
-                    burst_window: int = 8,
-                    pipeline: Optional["CharacterizationPipeline"] = None,
-                    ) -> WaModel:
-    """Build the WA-model: DTA over the workload's own operand trace.
-
-    Per Section IV.C.3 the paper applies DTA to 1 M instructions randomly
-    extracted from the executed workload; we analyse the recorded trace up
-    to ``max_samples`` per type.  The per-bit BER arrays captured here are
-    the Fig. 8 series.
-
-    With ``pipeline`` given, delegates to the parallel, cache-aware
-    engine; WA characterisation draws no random numbers, so the pipeline
-    result is bit-identical to this serial reference for any worker
-    count and chunk size.
-    """
-    if pipeline is not None:
-        return pipeline.characterize_wa(
-            profile, points, max_samples=max_samples,
-            burst_window=burst_window)
-    fpu = fpu or FPU()
-    faults: Dict[str, Dict[FpOp, TraceFaults]] = {
-        point.name: {} for point in points
-    }
-    for op, (a, b) in profile.trace_by_op.items():
-        if a.size == 0:
-            continue
-        take = min(a.size, max_samples)
-        aa = a[:take]
-        bb = b[:take] if b is not None else None
-        telemetry.count("characterize.wa.samples", take)
-        batch = fpu.dta(op, aa, bb, points)
-        for point in points:
-            masks = batch.masks[point.name]
-            idx = np.nonzero(masks)[0].astype(np.int64)
-            counts = _per_bit_counts(masks[idx], op.fmt.width)
-            faults[point.name][op] = TraceFaults(
-                op=op,
-                indices=idx,
-                bitmasks=masks[idx].astype(np.uint64),
-                analysed=take,
-                ber=counts / take,
-            )
-    model = WaModel(workload=profile.name, faults=faults,
-                    burst_window=burst_window)
-    model.provenance = Provenance(
-        benchmark=profile.name, samples=max_samples,
-        points=tuple(point.name for point in points),
-    )
-    return model

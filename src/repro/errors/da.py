@@ -43,7 +43,7 @@ class DaModel(ErrorModel):
 
         The paper's values are 1e-3 at VR15 and 1e-2 at VR20, obtained
         from DTA over 10 M randomly extracted instructions; use
-        :func:`repro.errors.characterize.characterize_da` to measure the
+        :func:`repro.errors.pipeline.characterize_da` to measure the
         equivalent constants for this FPU.
         """
         for point, ratio in fixed_error_ratios.items():

@@ -1,10 +1,12 @@
-"""Parallel, content-addressed characterization pipeline.
+"""The characterization engine: parallel, chunked, content-addressed.
 
 The model-development phase (Fig. 2, left half) is the framework's hot
 path: DA/IA/WA characterisation runs DTA over up to 1 M operands per
-instruction type per benchmark.  This module is the production engine for
-that phase; :mod:`repro.errors.characterize` remains the straightforward
-serial reference implementation the differential tests compare against.
+instruction type per benchmark.  :class:`CharacterizationPipeline` is
+the one engine for that phase; :func:`characterize_ia`,
+:func:`characterize_da` and :func:`characterize_wa` are its public entry
+points and run a default pipeline (in-process, chunked, no cache) when
+the caller passes none.
 
 Three mechanisms, composable and individually disableable:
 
@@ -25,8 +27,8 @@ Three mechanisms, composable and individually disableable:
    (``<root>/<op>/b<block>``).  A unit covering samples ``[lo, hi)``
    regenerates the overlapping blocks and slices, so **any chunk size
    produces bit-identical models** too.  WA characterisation draws no
-   random numbers at all and is additionally bit-identical to the
-   serial reference in :func:`repro.errors.characterize.characterize_wa`.
+   random numbers at all: its model is the plain full-batch DTA of the
+   workload's trace, bit for bit.
 
 3. **Content-addressed model cache.**  ``PipelineConfig.cache_dir``
    enables an on-disk cache of finished models layered on
@@ -38,7 +40,7 @@ Three mechanisms, composable and individually disableable:
    detected on load, counted (``characterize.cache.invalid``) and
    recomputed.
 
-Two serial-path optimisations ride along (both proof-backed, both
+Two in-process optimisations ride along (both proof-backed, both
 applied identically for every worker/chunk combination):
 
 - **Clean-op short-circuit**: :meth:`TimingModel.is_error_free` proves,
@@ -61,7 +63,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import signal
 import traceback
 from collections import deque
@@ -79,11 +80,7 @@ from repro.errors.da import DaModel
 from repro.errors.ia import IaModel, InstructionStats
 from repro.errors.wa import TraceFaults, WaModel
 from repro.errors import store
-from repro.errors.characterize import (
-    DEFAULT_SAMPLE,
-    _per_bit_counts,
-    random_operands,
-)
+from repro.errors.characterize import _per_bit_counts, random_operands
 from repro.fpu import ops
 from repro.fpu.formats import ALL_OPS, FpOp
 from repro.fpu.timing import TimingModel
@@ -91,6 +88,10 @@ from repro.fpu.unit import DEFAULT_DTA_BATCH, FPU
 from repro.utils.bitops import count_ones
 from repro.utils.rng import RngStream
 from repro import telemetry
+
+#: Default operand sample per instruction type (paper: 1e6; Fig. 6 shows
+#: the convergence that justifies smaller development-time samples).
+DEFAULT_SAMPLE = 100_000
 
 #: Fixed operand-generation granularity.  Sample index ``i`` of an op's
 #: stream always comes from block ``i // RNG_BLOCK`` of that op's named
@@ -513,8 +514,8 @@ class _WaJob:
     """WA characterisation: units are (trace entry, sample range).
 
     Draws no random numbers; every payload is a pure function of the
-    trace slice, so the reduction reproduces the serial reference
-    bit-for-bit (fault indices ascend within and across units).
+    trace slice, so the reduction reproduces a full-batch DTA of the
+    trace bit-for-bit (fault indices ascend within and across units).
     """
 
     def __init__(self, timing_model: TimingModel, profile: WorkloadProfile,
@@ -834,14 +835,11 @@ def _map_units(job, workers: int, min_fanout_vectors: int = 0) -> List:
 # ---------------------------------------------------------------------------
 
 class CharacterizationPipeline:
-    """Parallel, cache-aware drop-in for the ``characterize_*`` drivers.
+    """The IA/DA/WA characterisation engine.
 
-    WA results are bit-identical to the serial reference for every
-    worker count and chunk size.  IA/DA results are bit-identical across
-    all (workers, chunk) combinations of the pipeline itself (the
-    RNG-block scheme), and statistically equivalent to — but drawn from
-    a different substream layout than — the sequential reference
-    streams in :mod:`repro.errors.characterize`.
+    Every model is bit-identical across all (workers, chunk)
+    combinations: IA/DA through the RNG-block scheme, WA because it
+    draws no random numbers.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None,
@@ -870,7 +868,7 @@ class CharacterizationPipeline:
                                      self.config.min_fanout_vectors))
 
     # -- model builders ----------------------------------------------------------
-    @telemetry.timed("characterize.pipeline.ia")
+    @telemetry.timed("errors.ia")
     def characterize_ia(self, points: Sequence[OperatingPoint],
                         samples_per_op: int = DEFAULT_SAMPLE,
                         seed: int = 2021,
@@ -893,7 +891,7 @@ class CharacterizationPipeline:
 
         return self._cached("IA", key, build)
 
-    @telemetry.timed("characterize.pipeline.da")
+    @telemetry.timed("errors.da")
     def characterize_da(self, profiles: Sequence[WorkloadProfile],
                         points: Sequence[OperatingPoint],
                         sample_per_point: int = DEFAULT_SAMPLE,
@@ -919,13 +917,13 @@ class CharacterizationPipeline:
 
         return self._cached("DA", key, build)
 
-    @telemetry.timed("characterize.pipeline.wa")
+    @telemetry.timed("errors.wa")
     def characterize_wa(self, profile: WorkloadProfile,
                         points: Sequence[OperatingPoint],
                         max_samples: int = 1_000_000,
                         burst_window: int = 8) -> WaModel:
-        """WA model over the workload's own trace; bit-identical to the
-        serial reference for any worker count and chunk size."""
+        """WA model over the workload's own trace; bit-identical for any
+        worker count and chunk size."""
         digest = trace_digest(profile)
         key = cache_key("WA", points=points, samples=max_samples,
                         trace=digest, burst_window=burst_window)
@@ -977,32 +975,90 @@ class CharacterizationPipeline:
         job = _ArrayJob(self.timing_model, op, a, b, points,
                         self.config.chunk, want=("hist",))
         reduced = self._run(job)
-        width = op.fmt.width
         return {point.name: reduced[point.name]["hist"]
                 for point in points}
 
 
-def make_pipeline(workers: Optional[int] = None,
+def make_pipeline(workers: int = 0,
                   chunk: Optional[int] = None,
                   cache_dir: Optional[PathLike] = None,
                   use_cache: bool = True,
                   fpu: Optional[FPU] = None,
-                  ) -> Optional[CharacterizationPipeline]:
+                  ) -> CharacterizationPipeline:
     """The pipeline the CLI and experiment contexts characterise with.
 
-    No knob set (``workers`` and ``chunk`` ``None``, no ``cache_dir``)
-    returns ``None``: the caller keeps the serial reference path, whose
-    model numbers are the historical ones byte for byte.  Any knob
-    builds a pipeline with ``chunk`` defaulting to
-    :data:`~repro.fpu.unit.DEFAULT_DTA_BATCH`; ``use_cache=False`` keeps
-    a given ``cache_dir`` out of use (the CLI's ``--no-cache``).
+    ``chunk`` defaults to :data:`~repro.fpu.unit.DEFAULT_DTA_BATCH`, so
+    with no knob set this is ``CharacterizationPipeline(PipelineConfig())``:
+    in-process, cache-blocked, no cache.  ``use_cache=False`` keeps a
+    given ``cache_dir`` out of use (the CLI's ``--no-cache``).
     """
-    if workers is None and chunk is None and not cache_dir:
-        return None
     config = PipelineConfig(
-        workers=workers or 0,
+        workers=workers,
         chunk=DEFAULT_DTA_BATCH if chunk is None else chunk,
         cache_dir=Path(cache_dir) if cache_dir else None,
-        use_cache=bool(cache_dir) and use_cache,
+        use_cache=use_cache,
     )
     return CharacterizationPipeline(config, fpu=fpu)
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
+
+def characterize_ia(points: Sequence[OperatingPoint],
+                    fpu: Optional[FPU] = None,
+                    samples_per_op: int = DEFAULT_SAMPLE,
+                    seed: int = 2021,
+                    ops_under_test: Optional[Iterable[FpOp]] = None,
+                    pipeline: Optional[CharacterizationPipeline] = None,
+                    ) -> IaModel:
+    """Build the IA-model: DTA on random operands per instruction type.
+
+    This run also yields the Fig. 7 data (per-bit injection probabilities
+    per instruction type and VR level) via
+    :meth:`repro.errors.ia.InstructionStats.unconditional_ber`.  Runs on
+    ``pipeline``, or on a default one over ``fpu``.
+    """
+    pipeline = pipeline or CharacterizationPipeline(fpu=fpu)
+    return pipeline.characterize_ia(points, samples_per_op=samples_per_op,
+                                    seed=seed, ops_under_test=ops_under_test)
+
+
+def characterize_da(profiles: Sequence[WorkloadProfile],
+                    points: Sequence[OperatingPoint],
+                    fpu: Optional[FPU] = None,
+                    sample_per_point: int = DEFAULT_SAMPLE,
+                    seed: int = 2021,
+                    pipeline: Optional[CharacterizationPipeline] = None,
+                    ) -> DaModel:
+    """Build the DA-model: one fixed ER per point from the benchmark mix.
+
+    Follows Section IV.C.1: instructions are randomly extracted from the
+    considered benchmarks (their recorded traces), DTA measures the mean
+    error ratio, and that single number becomes the model.  Runs on
+    ``pipeline``, or on a default one over ``fpu``.
+    """
+    pipeline = pipeline or CharacterizationPipeline(fpu=fpu)
+    return pipeline.characterize_da(profiles, points,
+                                    sample_per_point=sample_per_point,
+                                    seed=seed)
+
+
+def characterize_wa(profile: WorkloadProfile,
+                    points: Sequence[OperatingPoint],
+                    fpu: Optional[FPU] = None,
+                    max_samples: int = 1_000_000,
+                    burst_window: int = 8,
+                    pipeline: Optional[CharacterizationPipeline] = None,
+                    ) -> WaModel:
+    """Build the WA-model: DTA over the workload's own operand trace.
+
+    Per Section IV.C.3 the paper applies DTA to 1 M instructions randomly
+    extracted from the executed workload; we analyse the recorded trace up
+    to ``max_samples`` per type.  The per-bit BER arrays captured here are
+    the Fig. 8 series.  Runs on ``pipeline``, or on a default one over
+    ``fpu``.
+    """
+    pipeline = pipeline or CharacterizationPipeline(fpu=fpu)
+    return pipeline.characterize_wa(profile, points, max_samples=max_samples,
+                                    burst_window=burst_window)

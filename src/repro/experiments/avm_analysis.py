@@ -20,7 +20,6 @@ from repro.campaign.adaptive import AdaptiveConfig
 from repro.campaign.avm import EnergyAnalysis, avm_divergence
 from repro.campaign.runner import CampaignResult
 from repro.circuit.liberty import NOMINAL, OperatingPoint, TECHNOLOGY
-from repro.errors import characterize_wa
 from repro.experiments import Option, comma_separated_names, flag_bool
 from repro.experiments.context import (
     BENCHMARKS,
@@ -37,8 +36,8 @@ OPTIONS = (
     Option("samples", int, 50_000, "characterisation samples per type"),
     Option("benchmarks", comma_separated_names, BENCHMARKS,
            "comma-separated benchmark subset"),
-    Option("workers", int, None,
-           "characterization worker processes (unset = legacy serial)"),
+    Option("workers", int, 0,
+           "characterization worker processes (0 = in-process)"),
     Option("cache_dir", str, None,
            "content-addressed model cache directory (unset = no cache)"),
     Option("adaptive", flag_bool, False,
@@ -72,7 +71,7 @@ def run(context: Optional[ExperimentContext] = None,
         campaign_results: Optional[List[CampaignResult]] = None,
         runs: int = 200, scale: str = "small",
         seed: int = 2021, samples: int = 50_000,
-        benchmarks=None, workers: Optional[int] = None,
+        benchmarks=None, workers: int = 0,
         cache_dir: Optional[str] = None,
         adaptive: bool = False, ci_target: float = 0.03,
         min_runs: int = 100, importance: bool = False) -> AvmResult:

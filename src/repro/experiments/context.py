@@ -8,7 +8,7 @@ its seed, so every driver regenerates identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -28,9 +28,6 @@ from repro.errors import (
     DaModel,
     IaModel,
     WaModel,
-    characterize_da,
-    characterize_ia,
-    characterize_wa,
     make_pipeline,
 )
 from repro.errors.base import ErrorModel, WorkloadProfile
@@ -45,7 +42,7 @@ def ensure_context(context: Optional["ExperimentContext"],
                    scale: str = "small", seed: int = 2021,
                    samples: int = 50_000,
                    benchmarks: Optional[Sequence[str]] = None,
-                   workers: Optional[int] = None,
+                   workers: int = 0,
                    chunk: Optional[int] = None,
                    cache_dir: Optional[Union[str, Path]] = None,
                    ) -> "ExperimentContext":
@@ -54,10 +51,10 @@ def ensure_context(context: Optional["ExperimentContext"],
     Every registry driver funnels its ``scale`` / ``seed`` / ``samples``
     / ``benchmarks`` options through here, so the model-development
     phase is configured identically no matter which artifact asked for
-    it.  ``workers`` / ``chunk`` / ``cache_dir`` opt the build into the
-    parallel, content-addressed characterization pipeline
-    (:mod:`repro.errors.pipeline`); all three left ``None`` keeps the
-    legacy serial path.
+    it.  ``workers`` / ``chunk`` / ``cache_dir`` configure the
+    characterization pipeline (:func:`repro.errors.make_pipeline`): its
+    worker pool, chunk size and model cache.  None of them changes a
+    model.
     """
     if context is not None:
         return context
@@ -81,9 +78,8 @@ class ExperimentContext:
     da: DaModel
     ia: IaModel
     wa: Dict[str, WaModel]
-    #: The characterization pipeline the models were built with (``None``
-    #: when the legacy serial path was used).
-    pipeline: Optional[CharacterizationPipeline] = None
+    #: The characterization pipeline the models were built with.
+    pipeline: CharacterizationPipeline
     #: Stop-decision/budget report of the most recent adaptive
     #: ``run_campaigns`` call (``None`` until one runs adaptively).
     adaptive_report: Optional[AdaptiveReport] = None
@@ -93,27 +89,24 @@ class ExperimentContext:
                points: Optional[Sequence[OperatingPoint]] = None,
                characterization_samples: int = 50_000,
                benchmarks: Sequence[str] = BENCHMARKS,
-               pipeline: Optional[CharacterizationPipeline] = None,
-               workers: Optional[int] = None,
+               workers: int = 0,
                chunk: Optional[int] = None,
                cache_dir: Optional[Union[str, Path]] = None,
                fastforward: Optional[FastForwardConfig] = None,
                ) -> "ExperimentContext":
         """Model-development phase over the chosen benchmarks.
 
-        Pass ``pipeline`` (or any of ``workers`` / ``chunk`` /
-        ``cache_dir``, which build one) to route all three
-        characterisations through the parallel, cache-aware engine;
-        the WA models stay bit-identical to the serial path, and cached
-        artifacts make repeat builds near-free.  ``fastforward``
+        All three characterisations run on one pipeline built from
+        ``workers`` / ``chunk`` / ``cache_dir``; the models are
+        bit-identical for any of them, and cached artifacts make repeat
+        builds near-free.  ``fastforward``
         configures the campaign runners' snapshot engine (``None`` keeps
         the default-on configuration; pass
         ``FastForwardConfig(enabled=False)`` for full replay).
         """
         points = list(points) if points else [VR15, VR20]
         fpu = FPU()
-        if pipeline is None:
-            pipeline = make_pipeline(workers, chunk, cache_dir, fpu=fpu)
+        pipeline = make_pipeline(workers, chunk, cache_dir, fpu=fpu)
         runners: Dict[str, CampaignRunner] = {}
         profiles: Dict[str, WorkloadProfile] = {}
         wa: Dict[str, WaModel] = {}
@@ -124,14 +117,12 @@ class ExperimentContext:
             golden = runner.golden()
             runners[name] = runner
             profiles[name] = golden.profile
-            wa[name] = characterize_wa(golden.profile, points, fpu=fpu,
-                                       pipeline=pipeline)
-        ia = characterize_ia(points, fpu=fpu,
-                             samples_per_op=characterization_samples,
-                             seed=seed, pipeline=pipeline)
-        da = characterize_da(list(profiles.values()), points, fpu=fpu,
-                             sample_per_point=characterization_samples,
-                             seed=seed, pipeline=pipeline)
+            wa[name] = pipeline.characterize_wa(golden.profile, points)
+        ia = pipeline.characterize_ia(
+            points, samples_per_op=characterization_samples, seed=seed)
+        da = pipeline.characterize_da(
+            list(profiles.values()), points,
+            sample_per_point=characterization_samples, seed=seed)
         return cls(scale=scale, seed=seed, points=points, fpu=fpu,
                    runners=runners, profiles=profiles, da=da, ia=ia, wa=wa,
                    pipeline=pipeline)

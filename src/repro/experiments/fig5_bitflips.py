@@ -10,17 +10,15 @@ errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.circuit.liberty import VR15, VR20
 from repro.errors.characterize import random_operands
-from repro.errors.pipeline import CharacterizationPipeline, PipelineConfig
+from repro.errors.pipeline import make_pipeline
 from repro.experiments import Option
 from repro.fpu.formats import OPS_DOUBLE
-from repro.fpu.unit import FPU
-from repro.utils.bitops import count_ones
 from repro.utils.rng import RngStream
 
 TITLE = "Fig. 5 — bit flips per faulty instruction output"
@@ -30,7 +28,8 @@ OPTIONS = (
            "random operand pairs per instruction type"),
     Option("seed", int, 2021, "operand-generation seed"),
     Option("workers", int, 0,
-           "DTA worker processes (0 = serial; any count is bit-identical)"),
+           "DTA worker processes (0 = in-process; any count is "
+           "bit-identical)"),
 )
 
 
@@ -44,41 +43,23 @@ class Fig5Result:
 def run(context=None, samples_per_op: int = 100_000,
         seed: int = 2021, workers: int = 0) -> Fig5Result:
     """The operand stream is always the historical ``fig5`` RNG stream;
-    ``workers`` only fans the DTA reduction out, so the histogram is
-    bit-identical for any worker count."""
-    fpu = context.fpu if context is not None else FPU()
-    pipeline = context.pipeline if context is not None else None
-    if pipeline is None and workers:
-        pipeline = CharacterizationPipeline(
-            PipelineConfig(workers=workers, use_cache=False), fpu=fpu)
+    ``workers`` only fans the DTA reduction out (a supplied ``context``
+    brings its own pipeline), so the histogram is bit-identical for any
+    worker count."""
+    pipeline = (context.pipeline if context is not None
+                else make_pipeline(workers))
     rng = RngStream(seed, "fig5")
     points = [VR15, VR20]
+    # Every double op is 64 bits wide, so all histograms share a length.
     hists: Dict[str, np.ndarray] = {}
     for op in OPS_DOUBLE:
         a, b = random_operands(op, samples_per_op, rng.child(op.value))
-        if pipeline is not None:
-            op_hists = pipeline.flip_histograms(op, a, b, points)
-        else:
-            batch = fpu.dta(op, a, b, points)
-            op_hists = {}
-            for point in points:
-                masks = batch.masks[point.name]
-                faulty = masks[masks != 0]
-                op_hists[point.name] = np.bincount(
-                    count_ones(faulty) if faulty.size
-                    else np.zeros(0, dtype=np.int64),
-                    minlength=op.fmt.width + 1).astype(np.int64)
-        for name, hist in op_hists.items():
-            if name not in hists:
-                hists[name] = np.zeros(hist.size, dtype=np.int64)
-            if hists[name].size < hist.size:
-                hists[name] = np.pad(hists[name],
-                                     (0, hist.size - hists[name].size))
-            hists[name][:hist.size] += hist
+        for name, hist in pipeline.flip_histograms(op, a, b, points).items():
+            hists[name] = hist + hists.get(name, 0)
     histogram: Dict[str, Dict[int, int]] = {}
     multi: Dict[str, float] = {}
     for point in points:
-        hist = hists.get(point.name, np.zeros(1, dtype=np.int64))
+        hist = hists[point.name]
         histogram[point.name] = {int(n): int(c)
                                  for n, c in enumerate(hist)
                                  if n >= 1 and c}

@@ -11,16 +11,15 @@ subset BER is nearly identical to the full-trace BER, justifying the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.circuit.liberty import VR15, VR20, OperatingPoint
 from repro.errors.base import WorkloadProfile
-from repro.errors.pipeline import CharacterizationPipeline, PipelineConfig
+from repro.errors.pipeline import make_pipeline
 from repro.experiments import Option, comma_separated_ints
 from repro.fpu.formats import FpOp, op_by_mnemonic
-from repro.fpu.unit import FPU
 from repro.utils.rng import RngStream
 from repro.utils.stats import average_absolute_error
 
@@ -38,7 +37,8 @@ OPTIONS = (
     Option("seed", int, 2021, "trace/subset seed"),
     Option("scale", str, "small", "workload scale (tiny/small/paper)"),
     Option("workers", int, 0,
-           "DTA worker processes (0 = serial; any count is bit-identical)"),
+           "DTA worker processes (0 = in-process; any count is "
+           "bit-identical)"),
 )
 
 
@@ -50,23 +50,6 @@ class Fig6Result:
     full_ber: np.ndarray
     sampled_ber: Dict[int, np.ndarray]
     absolute_error: Dict[int, float]
-
-
-def _per_bit_ber(fpu: FPU, op: FpOp, a, b, point,
-                 pipeline: Optional[CharacterizationPipeline] = None
-                 ) -> np.ndarray:
-    if pipeline is not None:
-        # Pure count reduction: bit-identical to the full-batch path
-        # below for any chunk size or worker count.
-        return pipeline.per_bit_ber(op, a, b, [point])[point.name]
-    masks = fpu.dta(op, a, b, [point]).masks[point.name]
-    width = op.fmt.width
-    ber = np.zeros(width)
-    for bit in range(width):
-        ber[bit] = np.count_nonzero(
-            (masks >> np.uint64(bit)) & np.uint64(1)
-        ) / masks.size
-    return ber
 
 
 def run(context=None,
@@ -93,12 +76,13 @@ def run(context=None,
     if op not in profile.trace_by_op:
         raise ValueError(f"profile {profile.name!r} has no {op} trace")
     a, b = profile.trace_by_op[op]
-    fpu = FPU()
-    pipeline = context.pipeline if context is not None else None
-    if pipeline is None and workers:
-        pipeline = CharacterizationPipeline(
-            PipelineConfig(workers=workers, use_cache=False), fpu=fpu)
-    full_ber = _per_bit_ber(fpu, op, a, b, point, pipeline)
+    pipeline = (context.pipeline if context is not None
+                else make_pipeline(workers))
+
+    def per_bit_ber(ops_a, ops_b) -> np.ndarray:
+        return pipeline.per_bit_ber(op, ops_a, ops_b, [point])[point.name]
+
+    full_ber = per_bit_ber(a, b)
     rng = RngStream(seed, "fig6")
     sampled: Dict[int, np.ndarray] = {}
     errors: Dict[int, float] = {}
@@ -107,9 +91,7 @@ def run(context=None,
         # Without replacement, like extracting K distinct instructions
         # from the trace; at K == trace size the estimate is exact.
         sel = rng.choice(a.size, size=take, replace=False)
-        ber = _per_bit_ber(fpu, op, a[sel],
-                           b[sel] if b is not None else None, point,
-                           pipeline)
+        ber = per_bit_ber(a[sel], b[sel] if b is not None else None)
         sampled[k] = ber
         errors[k] = average_absolute_error(full_ber, ber)
     return Fig6Result(op=op, point=point.name, full_trace_size=int(a.size),

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.circuit.liberty import VR15, VR20
-from repro.errors.characterize import characterize_ia
+from repro.errors import characterize_ia
 from repro.errors.ia import IaModel
 from repro.experiments import Option
 from repro.fpu.formats import ALL_OPS, FpOp

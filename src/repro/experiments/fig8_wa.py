@@ -31,8 +31,8 @@ OPTIONS = (
     Option("samples", int, 50_000, "characterisation samples per type"),
     Option("benchmarks", comma_separated_names, BENCHMARKS,
            "comma-separated benchmark subset"),
-    Option("workers", int, None,
-           "characterization worker processes (unset = legacy serial)"),
+    Option("workers", int, 0,
+           "characterization worker processes (0 = in-process)"),
     Option("cache_dir", str, None,
            "content-addressed model cache directory (unset = no cache)"),
 )
@@ -49,7 +49,7 @@ class Fig8Result:
 def run(context: Optional[ExperimentContext] = None,
         scale: str = "small", seed: int = 2021,
         samples: int = 50_000, benchmarks=None,
-        workers: Optional[int] = None,
+        workers: int = 0,
         cache_dir: Optional[str] = None) -> Fig8Result:
     context = ensure_context(context, scale=scale, seed=seed,
                              samples=samples, benchmarks=benchmarks,

@@ -5,7 +5,7 @@ event-driven gate simulation, vectorised DTA batches, thousand-run
 campaign cells.  This package makes that cost visible without making it
 worse:
 
-- **Spans** — ``with telemetry.span("characterize.wa"):`` times a block;
+- **Spans** — ``with telemetry.span("errors.wa"):`` times a block;
   spans nest, and the full open-span path rides on every record.
   ``@telemetry.timed("name")`` is the decorator form.
 - **Counters / distributions** — ``telemetry.count("eventsim.events", n)``

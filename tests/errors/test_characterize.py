@@ -7,11 +7,9 @@ from repro.circuit.liberty import VR15, VR20
 from repro.circuit.bitsim import AUTO_NUMPY_LANES
 from repro.circuit.builder import build_adder
 from repro.circuit.sta import StaticTimingAnalysis
-from repro.errors.characterize import (
+from repro.errors import (
     characterize_da,
     characterize_gate,
-    characterize_ia,
-    characterize_wa,
     random_operands,
     random_vector_words,
 )

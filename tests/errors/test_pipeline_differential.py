@@ -1,11 +1,13 @@
-"""Differential tests of the parallel characterization pipeline.
+"""Differential tests of the characterization pipeline.
 
-The pipeline's core promise is *bit-identity*: any worker count and any
-chunk size must produce exactly the same model (and WA characterisation
-must match the serial reference in :mod:`repro.errors.characterize`
-bit-for-bit).  These tests exercise every combination the promise covers,
-plus the content-addressed cache's cold/warm/corrupt/stale paths and the
-pool's worker-death recovery.
+The pipeline is the only IA/DA/WA engine.  Its core promise is
+*bit-identity*: any worker count and any chunk size must produce exactly
+the same model.  Against the frozen serial references in
+``tests/errors/serial_reference.py`` it must also reproduce WA and the
+Fig. 5 / Fig. 6 reductions bit-for-bit, and IA/DA statistically (inside
+Wilson intervals).  These tests exercise every combination the promise
+covers, plus the content-addressed cache's cold/warm/corrupt/stale paths,
+the pool's worker-death recovery and the one telemetry span per phase.
 
 ``min_fanout_vectors=0`` everywhere the pool matters: the production
 default keeps jobs this small off the fork pool, and these tests exist
@@ -18,19 +20,34 @@ import os
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.circuit.liberty import VR15, VR20
+from repro.errors import characterize_da, characterize_ia, characterize_wa
 from repro.errors import store
-from repro.errors.characterize import characterize_wa
+from repro.errors.characterize import random_operands
 from repro.errors.pipeline import (
+    DEFAULT_SAMPLE,
     RNG_BLOCK,
     CharacterizationPipeline,
     PipelineConfig,
     PipelineError,
     _map_units,
     cache_key,
+    make_pipeline,
     trace_digest,
 )
-from repro.fpu.formats import FpOp
+from repro.fpu.formats import ALL_OPS, OPS_DOUBLE, FpOp
+from repro.utils.rng import RngStream
+from repro.utils.stats import wilson_interval
+from tests.errors.serial_reference import (
+    da_expected_ratio,
+    da_sample_size,
+    serial_da,
+    serial_flip_histograms,
+    serial_ia,
+    serial_per_bit_ber,
+    serial_wa,
+)
 
 POINTS = [VR15, VR20]
 
@@ -139,17 +156,161 @@ class TestWaDifferential:
 
     @pytest.fixture(scope="class")
     def serial_reference(self, fpu, profile):
-        return characterize_wa(profile, POINTS, fpu=fpu)
+        return serial_wa(profile, POINTS, fpu)
 
     @pytest.mark.parametrize("workers,chunk", [(0, None)] + DIFF_CONFIGS)
     def test_matches_serial_reference_exactly(self, fpu, profile,
                                               serial_reference, workers,
                                               chunk):
-        """WA draws no randomness: the pipeline must reproduce the serial
-        driver bit-for-bit at every pool/chunk geometry."""
+        """WA draws no randomness: the pipeline must reproduce the frozen
+        serial body bit-for-bit at every pool/chunk geometry."""
         model = _pipeline(workers, chunk, fpu).characterize_wa(
             profile, POINTS)
         assert_wa_equal(model, serial_reference)
+
+
+#: Seed and sample budget of the serial-equivalence check: the production
+#: defaults, fixed up front (never searched for a passing draw).
+EQUIV_SEED = 2021
+EQUIV_SAMPLES = DEFAULT_SAMPLE
+
+
+def _assert_inside_wilson(ratio, interval_ratio, trials, label):
+    """``ratio`` lies in the 95 % Wilson interval of ``interval_ratio``."""
+    successes = int(round(interval_ratio * trials))
+    lo, hi = wilson_interval(successes, trials)
+    assert lo <= ratio <= hi, (
+        f"{label}: {ratio:.6g} outside the 95% Wilson interval "
+        f"[{lo:.6g}, {hi:.6g}] of {successes}/{trials}")
+
+
+class TestSerialEquivalence:
+    """IA/DA agree with the frozen serial references statistically.
+
+    The pipeline draws IA operands and DA selections from ``RNG_BLOCK``
+    substreams, the references from one sequential stream, so the two
+    are different samples of the same distribution.  Every pipeline
+    error ratio must lie inside the 95 % Wilson interval of the
+    reference's ratio at one fixed seed and sample size.  This is the
+    evidence behind "statistically equivalent" in DESIGN.md §9.
+
+    The check is strict: two independent estimates of one proportion
+    differ by about sqrt(2) reference standard errors, so even an exact
+    equivalent lands outside the reference's 95 % interval about 17 % of
+    the time per ratio.  At the fixed seed one DA ratio does (see the
+    xfail below).  DA also has an exact population mean, so the pipeline
+    is additionally held to covering it.
+    """
+
+    @pytest.fixture(scope="class")
+    def da_models(self, fpu, tiny_profiles):
+        profiles = list(tiny_profiles.values())
+        model = CharacterizationPipeline(fpu=fpu).characterize_da(
+            profiles, POINTS, sample_per_point=EQUIV_SAMPLES,
+            seed=EQUIV_SEED)
+        reference = serial_da(profiles, POINTS, fpu, EQUIV_SAMPLES,
+                              EQUIV_SEED)
+        return profiles, model, reference
+
+    def test_ia_ratios_inside_serial_wilson_intervals(self, fpu):
+        model = CharacterizationPipeline(fpu=fpu).characterize_ia(
+            POINTS, samples_per_op=EQUIV_SAMPLES, seed=EQUIV_SEED)
+        reference = serial_ia(POINTS, fpu, EQUIV_SAMPLES, EQUIV_SEED)
+        for point in POINTS:
+            for op in ALL_OPS:
+                _assert_inside_wilson(
+                    model.stats[point.name][op].error_ratio,
+                    reference.stats[point.name][op].error_ratio,
+                    EQUIV_SAMPLES, f"IA {point.name} {op.value}")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "seed 2021, 100k: the pipeline's VR15 DA count (69 of 99,998) is "
+        "above the serial reference's interval (49 of 99,998); the exact "
+        "mean is 56.2, so the gap is sampling noise on both sides"))
+    def test_da_ratios_inside_serial_wilson_intervals(self, da_models):
+        profiles, model, reference = da_models
+        trials = da_sample_size(profiles, EQUIV_SAMPLES)
+        for point in POINTS:
+            _assert_inside_wilson(
+                model.fixed_error_ratios[point.name],
+                reference.fixed_error_ratios[point.name],
+                trials, f"DA {point.name}")
+
+    def test_da_intervals_cover_exact_mean(self, fpu, da_models):
+        """The pipeline's DA estimate is consistent with the exact mean."""
+        profiles, model, _ = da_models
+        trials = da_sample_size(profiles, EQUIV_SAMPLES)
+        for point in POINTS:
+            exact = da_expected_ratio(profiles, point, fpu, EQUIV_SAMPLES)
+            _assert_inside_wilson(
+                exact, model.fixed_error_ratios[point.name], trials,
+                f"DA {point.name} exact mean vs pipeline")
+
+
+class TestFigureReductions:
+    """Fig. 5 / Fig. 6 reductions equal their full-batch references.
+
+    Figs. 5 and 6 feed the pipeline their own operand streams; chunking,
+    the clean-op short-circuit and the pool must not move one count.
+    Chunk 577 splits every stream into several units, so the pool is
+    exercised at ``workers=2``.
+    """
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_flip_histograms_match_full_batch(self, fpu, workers):
+        pipeline = _pipeline(workers, 577, fpu)
+        rng = RngStream(11, "fig5")
+        for op in OPS_DOUBLE:
+            a, b = random_operands(op, 3000, rng.child(op.value))
+            got = pipeline.flip_histograms(op, a, b, POINTS)
+            want = serial_flip_histograms(fpu, op, a, b, POINTS)
+            assert set(got) == set(want)
+            for name in want:
+                assert got[name].dtype == want[name].dtype
+                assert np.array_equal(got[name], want[name]), (op, name)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_per_bit_ber_matches_full_batch(self, fpu, tiny_profiles,
+                                            workers):
+        pipeline = _pipeline(workers, 577, fpu)
+        a, b = tiny_profiles["is"].trace_by_op[FpOp.MUL_D]
+        sel = RngStream(11, "fig6").choice(a.size, size=min(1000, a.size),
+                                           replace=False)
+        for aa, bb in ((a, b), (a[sel], b[sel])):
+            for point in POINTS:
+                got = pipeline.per_bit_ber(FpOp.MUL_D, aa, bb,
+                                           [point])[point.name]
+                want = serial_per_bit_ber(fpu, FpOp.MUL_D, aa, bb, point)
+                assert np.array_equal(got, want), point.name
+
+
+class TestEntryPoints:
+    def test_no_knob_pipeline_is_the_default_config(self):
+        pipeline = make_pipeline()
+        assert pipeline.config == PipelineConfig()
+        assert pipeline.cache is None
+
+    def test_one_span_per_phase(self, fpu, tiny_profiles):
+        """A traced characterisation emits exactly one span per phase."""
+        names = []
+
+        class Sink:
+            def on_span(self, record):
+                names.append(record.name)
+
+        profile = tiny_profiles["srad_v1"]
+        telemetry.enable().add_sink(Sink())
+        try:
+            characterize_ia(POINTS, fpu=fpu, samples_per_op=500, seed=3,
+                            ops_under_test=[FpOp.MUL_D])
+            characterize_da([profile], POINTS, fpu=fpu,
+                            sample_per_point=500, seed=3)
+            characterize_wa(profile, POINTS, fpu=fpu)
+        finally:
+            telemetry.disable()
+        phases = [name for name in names
+                  if name.startswith(("errors.", "characterize."))]
+        assert phases == ["errors.ia", "errors.da", "errors.wa"]
 
 
 class TestModelCache:

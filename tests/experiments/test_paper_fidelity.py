@@ -62,6 +62,7 @@ def _with_fastforward(context, fastforward):
         scale=context.scale, seed=context.seed, points=context.points,
         fpu=context.fpu, runners=runners, profiles=context.profiles,
         da=context.da, ia=context.ia, wa=context.wa,
+        pipeline=context.pipeline,
     )
 
 

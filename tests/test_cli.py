@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,23 @@ class TestCommands:
         assert code == 0
         artifact = tmp_path / "wa_sobel.json"
         assert artifact.exists()
+
+    def test_characterize_knobs_never_change_the_model(self, tmp_path,
+                                                       capsys):
+        """One command gives one model: with or without pipeline knobs
+        the artifacts are byte-identical, and equal the committed ones
+        (written by the same command)."""
+        args = ["characterize", "kmeans", "--model", "all", "--scale",
+                "tiny", "--samples", "2000"]
+        assert main(args + ["--output", str(tmp_path / "plain")]) == 0
+        assert main(args + ["--output", str(tmp_path / "knobs"),
+                            "--workers", "2", "--chunk", "577",
+                            "--cache-dir", str(tmp_path / "cache")]) == 0
+        committed = Path(__file__).resolve().parents[1] / "artifacts"
+        for name in ("ia.json", "da.json", "wa_kmeans.json"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "knobs" / name).read_bytes() == plain, name
+            assert (committed / name).read_bytes() == plain, name
 
     def test_campaign_from_artifact(self, tmp_path, capsys):
         main([
