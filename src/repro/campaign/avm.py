@@ -20,7 +20,7 @@ two ways, both implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.outcomes import OutcomeCounts
 from repro.campaign.runner import CampaignResult

@@ -304,6 +304,7 @@ class SnapshotStore:
         tail = self.total_ops - golden.ops_executed
         return ctx.ops_executed + tail <= ctx.op_budget
 
+    @telemetry.timed("campaign.ff.replay")
     def run_injection(self, workload: Workload, ctx: FPContext,
                       corruption: Dict[FpOp, Dict[int, int]],
                       info: Optional[dict] = None) -> object:

@@ -7,7 +7,7 @@ paper-shaped output without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import CampaignResult

@@ -354,6 +354,7 @@ class CampaignRunner:
             execution.flight = capture
         return execution
 
+    @telemetry.timed("campaign.guest")
     def run_guest(self, corruption, golden: Optional[GoldenRun] = None,
                   wall_clock_timeout: Optional[float] = None
                   ) -> RunExecution:

@@ -15,7 +15,7 @@ datapath critical paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 LogicFn = Callable[[Tuple[int, ...]], int]

@@ -14,7 +14,7 @@ count tractable; path-depth ordering between stages is preserved.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.netlist import Netlist

@@ -18,7 +18,7 @@ the cost and should be preferred on hot paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.circuit.backend import BatchOutcome, unpack_input_words
 from repro.circuit.eventsim import EventSimulator

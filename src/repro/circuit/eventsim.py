@@ -15,10 +15,10 @@ netlists of a few tens of thousands of gates and a few thousand vectors.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from repro.circuit.netlist import Gate, Netlist
+from repro.circuit.netlist import Netlist
 from repro import telemetry
 
 

@@ -10,7 +10,7 @@ static timing analysis and event-driven simulation build on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.circuit.cells import Cell, CellLibrary, LIBRARY

@@ -10,10 +10,10 @@ the marocchino pipeline).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.netlist import Gate, Netlist
+from repro.circuit.netlist import Netlist
 
 
 @dataclass(frozen=True)

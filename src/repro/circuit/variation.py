@@ -22,7 +22,6 @@ Models (standard first-order forms):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.circuit.liberty import (

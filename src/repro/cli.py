@@ -34,7 +34,7 @@ from repro.campaign.fastforward import DEFAULT_INTERVAL, FastForwardConfig
 from repro.campaign.journal import JournalMismatch
 from repro.campaign.report import executor_stats_table, outcome_table
 from repro.campaign.runner import CampaignRunner
-from repro.circuit.liberty import TECHNOLOGY, VR15, VR20
+from repro.circuit.liberty import TECHNOLOGY
 from repro.errors import characterize_wa, make_pipeline, store
 from repro.experiments import REGISTRY, get_experiment
 from repro.workloads import WORKLOADS, make_workload

@@ -15,7 +15,6 @@ from typing import Dict
 
 from repro.circuit.liberty import OperatingPoint
 from repro.errors.base import ErrorModel, InjectionPlan, Victim, WorkloadProfile
-from repro.fpu.formats import FpOp
 from repro.utils.rng import RngStream
 
 

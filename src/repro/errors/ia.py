@@ -10,8 +10,8 @@ blind to the workload's actual operand values (the gap Fig. 8 exposes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 

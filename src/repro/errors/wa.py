@@ -15,7 +15,7 @@ the model injects nothing: the workload can safely run undervolted there
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -13,13 +13,13 @@ Three parts, mirroring the paper's discussion:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.adaptive import AdaptiveConfig
 from repro.campaign.avm import EnergyAnalysis, avm_divergence
 from repro.campaign.runner import CampaignResult
-from repro.circuit.liberty import NOMINAL, OperatingPoint, TECHNOLOGY
+from repro.circuit.liberty import NOMINAL, OperatingPoint
 from repro.experiments import Option, comma_separated_names, flag_bool
 from repro.experiments.context import (
     BENCHMARKS,

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.errors.base import ErrorModel, WorkloadProfile
 from repro.fpu.unit import FPU
-from repro.workloads import WORKLOADS, make_workload
+from repro.workloads import make_workload
 
 #: Table II benchmark order.
 BENCHMARKS = ("sobel", "cg", "kmeans", "srad_v1", "hotspot", "is", "mg")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.circuit.core_model import build_core_stages, is_fpu_stage
 from repro.circuit.sta import (

@@ -14,14 +14,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors.wa import WaModel
 from repro.experiments import Option, comma_separated_names
 from repro.experiments.context import (
     BENCHMARKS,
     ExperimentContext,
     ensure_context,
 )
-from repro.fpu.formats import FpOp
 
 TITLE = "Fig. 8 — WA-model per-bit BER per benchmark"
 

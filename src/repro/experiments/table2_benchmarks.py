@@ -8,7 +8,7 @@ non-FP expansion), and the Table II classification criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.campaign.report import format_table
 from repro.experiments import Option, comma_separated_names

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.fpu.formats import FpOp
-from repro.utils.ieee754 import DOUBLE, SINGLE, FloatFormat
+from repro.utils.ieee754 import DOUBLE, FloatFormat
 
 #: Number of guard/round/sticky bits carried through intermediate results.
 _GRS = 3

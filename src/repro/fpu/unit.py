@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.circuit.liberty import NOMINAL, OperatingPoint, TECHNOLOGY
+from repro.circuit.liberty import NOMINAL, OperatingPoint
 from repro.fpu import ops, softfloat
 from repro.fpu.formats import FpOp
 from repro.fpu.timing import DEFAULT_MODEL, TimingModel

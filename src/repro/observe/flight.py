@@ -27,7 +27,6 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.observe.records import (
     RECORD_TYPE,
     FlightRecord,
-    FlightVictim,
     bitflip_histogram,
     masking_summary,
     outcome_summary,

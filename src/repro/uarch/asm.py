@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Tuple
 
-from repro.fpu.formats import FpOp, op_by_mnemonic
+from repro.fpu.formats import op_by_mnemonic
 from repro.uarch.isa import NUM_REGS, Instruction
 
 _LABEL_RE = re.compile(r"^(\w+):$")

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.fpu import softfloat
-from repro.fpu.formats import FpOp
 from repro.uarch.isa import Instruction, InstrClass, NUM_REGS
 from repro.uarch.trace import TraceWindow
 

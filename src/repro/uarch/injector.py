@@ -11,7 +11,7 @@ corruption map consumed by the workloads' FP interposition context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors.base import InjectionPlan, Victim
 from repro.fpu.formats import FpOp

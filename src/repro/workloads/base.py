@@ -16,8 +16,9 @@ instruction per element).  The context
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from bisect import bisect_left
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,16 +39,20 @@ class GuestTimeout(Exception):
     """The guest exceeded 2x the error-free execution budget."""
 
 
-#: The FPContext hot-path table, read with one lookup per call:
-#: ``FpOp -> (dense index, ufunc, is_double)``.  The dense index keys the
-#: op counters, victims and trace buffers, so a call hashes no other enum
-#: member.  Conversions have no ufunc.
+#: FPContext dispatch entries ``(op, dense index, kind, ufunc, is_double)``
+#: passed by the public methods, so no call hashes an ``FpOp``.  The dense
+#: index keys the counters, victims and trace buffers.
 _OPS: Tuple[FpOp, ...] = tuple(FpOp)
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
            "div": np.divide}
-_OP_TABLE = {op: (index, _UFUNCS.get(op.kind), op.is_double)
-             for index, op in enumerate(_OPS)}
+_ENTRIES = {op: (op, index, op.kind, _UFUNCS.get(op.kind), op.is_double)
+            for index, op in enumerate(_OPS)}
+(_ADD_D, _SUB_D, _MUL_D, _DIV_D, _ADD_S, _SUB_S, _MUL_S, _DIV_S, _I2F_D,
+ _F2I_D) = (_ENTRIES[op] for op in (
+     FpOp.ADD_D, FpOp.SUB_D, FpOp.MUL_D, FpOp.DIV_D, FpOp.ADD_S,
+     FpOp.SUB_S, FpOp.MUL_S, FpOp.DIV_S, FpOp.I2F_D, FpOp.F2I_D))
 _F64 = np.dtype(np.float64)
+_FLOATS = (float, np.float64)
 _SCALARS = (float, int, np.floating, np.integer)
 
 
@@ -61,12 +66,39 @@ def _is_f64_array(x) -> bool:
     return type(x) is np.ndarray and x.dtype == _F64 and x.ndim > 0
 
 
+def _tree_sum(arr: np.ndarray, add) -> float:
+    """Fold ``arr`` pairwise with ``add``, one call per tree level."""
+    while arr.size > 1:
+        half = arr.size // 2
+        paired = add(arr[:half], arr[half:2 * half])
+        if arr.size % 2:
+            arr = np.concatenate([paired, arr[2 * half:]])
+        else:
+            arr = paired
+    return float(arr[0]) if arr.size else 0.0
+
+
+def _fast_size(a, b) -> Optional[int]:
+    """The element count of a call on float64 arrays (ndim >= 1) and
+    Python/``np.float64`` scalars; ``None`` for any other operand."""
+    if _is_f64_array(a):
+        if _is_f64_array(b):
+            return a.size if a.shape == b.shape else np.broadcast(a, b).size
+        return a.size if type(b) in _FLOATS else None
+    if type(a) in _FLOATS:
+        return 1 if type(b) in _FLOATS else (
+            b.size if _is_f64_array(b) else None)
+    return None
+
+
 class FPContext:
     """FP interposition layer between a guest algorithm and the FPU.
 
     No ``np.errstate`` is entered per operation: ``CampaignRunner``
     silences FP warnings once around each guest execution, and direct
     callers see numpy's warnings.  ``corruption`` is read once, here.
+    A clean call (:meth:`_clean`) applies the ufunc to its operands as
+    given; every other call runs the exact core :meth:`_binary_flat`.
     """
 
     def __init__(
@@ -90,6 +122,8 @@ class FPContext:
         self._armed = False  # a corruption has landed; start trap checks
         self._counts: List[int] = [0] * len(_OPS)
         self._victims = [self.corruption.get(op) for op in _OPS]
+        # Per-op sorted victim indices, bisected by the fast-path test.
+        self._victim_keys = [sorted(v) if v else [] for v in self._victims]
         # Trace buffers keyed by dense index, in first-recorded order.
         self._trace_a: Dict[int, List[np.ndarray]] = {}
         self._trace_b: Dict[int, List[np.ndarray]] = {}
@@ -103,59 +137,71 @@ class FPContext:
 
     # -- public arithmetic API (double precision) ---------------------------------
     def add(self, a, b):
-        return self._binary(FpOp.ADD_D, a, b)
+        return self._binary(_ADD_D, a, b)
 
     def sub(self, a, b):
-        return self._binary(FpOp.SUB_D, a, b)
+        return self._binary(_SUB_D, a, b)
 
     def mul(self, a, b):
-        return self._binary(FpOp.MUL_D, a, b)
+        return self._binary(_MUL_D, a, b)
 
     def div(self, a, b):
-        return self._binary(FpOp.DIV_D, a, b)
+        return self._binary(_DIV_D, a, b)
 
     def i2f(self, values):
-        return self._conv(FpOp.I2F_D, values)
+        return self._conv(_I2F_D, values)
 
     def f2i(self, values):
-        return self._conv(FpOp.F2I_D, values)
+        return self._conv(_F2I_D, values)
 
     # Single-precision variants (operands rounded to binary32 first).
     def add_s(self, a, b):
-        return self._binary(FpOp.ADD_S, a, b)
+        return self._binary(_ADD_S, a, b)
 
     def sub_s(self, a, b):
-        return self._binary(FpOp.SUB_S, a, b)
+        return self._binary(_SUB_S, a, b)
 
     def mul_s(self, a, b):
-        return self._binary(FpOp.MUL_S, a, b)
+        return self._binary(_MUL_S, a, b)
 
     def div_s(self, a, b):
-        return self._binary(FpOp.DIV_S, a, b)
+        return self._binary(_DIV_S, a, b)
 
     # Reductions built from the primitive stream.
     def sum(self, values):
         """Sequential-tree sum through the FPU add stream.
 
         Each tree level is one ``add`` of the pairs it folds; an odd
-        element carries to the next level unchanged.
+        element carries to the next level unchanged.  A clean tree is
+        charged at once, unless traps are armed and its root (which any
+        non-finite level value reaches) is not finite: then, like every
+        other tree, it runs level by level through the exact core.
         """
         arr = np.asarray(values, dtype=np.float64).ravel()
-        while arr.size > 1:
-            half = arr.size // 2
-            paired = self._binary_flat(FpOp.ADD_D, arr[:half],
-                                       arr[half:2 * half])
-            if arr.size % 2:
-                arr = np.concatenate([paired, arr[2 * half:]])
-            else:
-                arr = paired
-        return float(arr[0]) if arr.size else 0.0
+        op, index = _ADD_D[:2]
+        if arr.size > 1 and self._clean(index, arr.size - 1):
+            total = _tree_sum(arr, np.add)
+            if math.isfinite(total) or not (self.trap_nonfinite
+                                            and self._armed):
+                self._charge(op, index, arr.size - 1)
+                return total
+        return _tree_sum(arr, lambda a, b: self._binary_flat(_ADD_D, a, b))
 
     def dot(self, a, b):
         """Dot product: elementwise multiplies + tree sum."""
         return self.sum(self.mul(a, b))
 
     # -- internals --------------------------------------------------------------
+    def _clean(self, index: int, n: int) -> bool:
+        """Whether ``n`` more ops of ``index`` can take the fast path."""
+        keys = self._victim_keys[index]
+        start = self._counts[index]
+        after = bisect_left(keys, start)  # the first victim >= start
+        budget = self.op_budget
+        return (not self.record_trace
+                and (after == len(keys) or keys[after] >= start + n)
+                and (budget is None or self.ops_executed + n <= budget))
+
     def _charge(self, op: FpOp, index: int, n: int) -> int:
         counts = self._counts
         start = counts[index]
@@ -195,20 +241,22 @@ class FPContext:
                 touched = True
         return touched
 
-    def _trap_check(self, values: np.ndarray) -> None:
-        if self.trap_nonfinite and self._armed:
-            if not np.isfinite(values).all():
-                raise GuestFpException("non-finite value raised SIGFPE")
+    def _trap_check(self, values) -> None:
+        # A finite sum proves every element finite (inf/NaN absorb).
+        if (self.trap_nonfinite and self._armed
+                and not math.isfinite(np.add.reduce(values, None))
+                and not np.isfinite(values).all()):
+            raise GuestFpException("non-finite value raised SIGFPE")
 
-    def _binary_flat(self, op: FpOp, a: np.ndarray,
+    def _binary_flat(self, entry, a: np.ndarray,
                      b: np.ndarray) -> np.ndarray:
-        """The arithmetic core: two equal-size 1-d float64 operands in,
-        a fresh 1-d float64 result out.
+        """The exact arithmetic core: two equal-size 1-d float64
+        operands in, a fresh 1-d float64 result out.
 
         Charges the budget, records the operand trace, applies the
         corruption landing in this call and checks traps once armed.
         """
-        index, ufunc, double = _OP_TABLE[op]
+        op, index, _, ufunc, double = entry
         start = self._charge(op, index, a.size)
         if not double:
             a = a.astype(np.float32)
@@ -242,42 +290,42 @@ class FPContext:
             self._trap_check(result)
         return result
 
-    def _binary(self, op: FpOp, a, b):
+    def _binary(self, entry, a, b):
         """Shape wrapper around :meth:`_binary_flat` (numpy broadcasting;
         a 0-d result comes back as an ``np.float64`` scalar).
 
-        Equal-shape float64 arrays go straight to the core, and a scalar
-        against a float64 array is filled to the array's shape (what
-        broadcasting plus ``ravel`` would copy out); every other mix
-        takes the general broadcast.
+        A clean double-precision call on float64 arrays and float
+        scalars takes the fast path.  Otherwise a scalar against a float64
+        array is filled to its shape and every other mix is broadcast.
         """
-        if (type(a) is np.ndarray and type(b) is np.ndarray
-                and a.dtype == _F64 and b.dtype == _F64
-                and a.shape == b.shape and a.ndim):
-            pass
-        elif _is_f64_array(b) and _is_scalar(a):
+        op, index, _, ufunc, double = entry
+        if double:
+            n = _fast_size(a, b)
+            if n is not None and self._clean(index, n):
+                self._charge(op, index, n)
+                result = ufunc(a, b)
+                if self._armed:
+                    self._trap_check(result)
+                return result
+        if _is_f64_array(b) and _is_scalar(a):
             a = np.full(b.shape, float(a))
         elif _is_f64_array(a) and _is_scalar(b):
             b = np.full(a.shape, float(b))
-        else:
-            a_arr = np.asarray(a, dtype=np.float64)
-            b_arr = np.asarray(b, dtype=np.float64)
-            if a_arr.shape != b_arr.shape:
-                a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-            result = self._binary_flat(op, a_arr.ravel(), b_arr.ravel())
-            return result.reshape(a_arr.shape) if a_arr.ndim else result[0]
-        if a.ndim == 1:
-            return self._binary_flat(op, a, b)
-        return self._binary_flat(op, a.ravel(), b.ravel()).reshape(a.shape)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        result = self._binary_flat(entry, a.ravel(), b.ravel())
+        return result.reshape(a.shape) if a.ndim else result[0]
 
-    def _conv(self, op: FpOp, values):
-        index = _OP_TABLE[op][0]
+    def _conv(self, entry, values):
+        op, index, kind, _, _ = entry
         shaped = np.asarray(values)
         scalar = shaped.ndim == 0
         arr = shaped.ravel()
         start = self._charge(op, index, arr.size)
         victims = self._victims[index]
-        if op.kind == "i2f":
+        if kind == "i2f":
             src = arr.astype(np.int64)
             if self.record_trace:
                 self._record(index, src.view(np.uint64), None)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.circuit.liberty import VR15, VR20
 from repro.errors.base import ErrorModel, InjectionPlan, Victim
 from repro.fpu.formats import FpOp
+from repro.telemetry.core import Collector
 from repro.workloads import make_workload
 
 
@@ -126,3 +128,36 @@ class TestCampaign:
             wa_models["srad_v1"], VR20, runs=60
         )
         assert result.counts.counts[Outcome.CRASH] > 0
+
+
+class _SpanSink:
+    def __init__(self):
+        self.records = []
+
+    def on_span(self, record):
+        self.records.append(record)
+
+
+class TestSpans:
+    def test_one_span_per_guest_and_replayed_run(self, tiny_runners):
+        """A telemetry-on cell emits one ``campaign.guest`` span per guest
+        run and, nested in it, one ``campaign.ff.replay`` span per
+        fast-forwarded run: cg replays from snapshots, bt (no step
+        protocol) in full."""
+        for name, replayed in (("cg", True), ("bt", False)):
+            sink = _SpanSink()
+            collector = telemetry.enable(Collector())
+            collector.add_sink(sink)
+            try:
+                tiny_runners[name].campaign(_HammerModel(), VR20, runs=6)
+            finally:
+                telemetry.disable()
+            guest_runs = collector.counters["campaign.guest_runs"]
+            assert guest_runs > 0
+            paths = [r.path for r in sink.records]
+            guest = [p for p in paths if p.endswith("campaign.guest")]
+            replay = [p for p in paths if p.endswith("campaign.ff.replay")]
+            assert len(guest) == guest_runs
+            assert len(replay) == (guest_runs if replayed else 0)
+            assert all(p.endswith("/campaign.guest/campaign.ff.replay")
+                       for p in replay)

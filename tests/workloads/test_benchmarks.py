@@ -6,6 +6,7 @@ import pytest
 from repro.fpu.formats import FpOp
 from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.base import FPContext, GuestCrash
+from repro.workloads.mg import _shift
 
 ALL_NAMES = sorted(WORKLOADS)
 
@@ -171,6 +172,19 @@ class TestBenchmarkSpecifics:
         norm = wl.run(wl.make_context())
         rhs_norm = float((wl.v ** 2).sum())
         assert 0.0 <= norm < rhs_norm
+
+    @pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
+    def test_mg_shift_equals_roll(self, scale):
+        # Every grid of the V-cycle, from the scale's finest to 2^3.
+        n = make_workload("mg", scale=scale, seed=3).n
+        rng = np.random.default_rng(3)
+        while n >= 2:
+            u = rng.standard_normal((n, n, n))
+            for axis in range(3):
+                for step in (1, -1):
+                    assert np.array_equal(_shift(u, step, axis),
+                                          np.roll(u, step, axis=axis))
+            n //= 2
 
     def test_srad_smooths_image(self):
         wl = make_workload("srad_v1", scale="tiny", seed=3)

@@ -595,6 +595,80 @@ class TestFixedPrograms:
                          ("f2i", (np.inf,)), ("f2i", (ints_in,))])
 
 
+    # -- the clean-call fast path's edges ------------------------------------
+
+    def test_trap_at_every_level_of_a_clean_tree(self):
+        # A MUL_D victim arms the traps; the ADD_D tree is victim-free,
+        # so it runs on the fast path until a level turns non-finite:
+        # an inf or NaN at every input position, and finite inputs whose
+        # partial sums overflow at level 0, 1, 2, ...
+        bad_inputs = []
+        for position in range(self.values.size):
+            for bad in (np.inf, -np.inf, np.nan):
+                values = self.values.copy()
+                values[position] = bad
+                bad_inputs.append(values)
+        for level in range(6):
+            bad_inputs.append(np.full(self.values.size, 1e308 / 2**level))
+        for values in bad_inputs:
+            for corruption in ({FpOp.MUL_D: {1: 1 << 51}}, {}):
+                _assert_same_run(
+                    _pair(corruption=corruption, trap_nonfinite=True),
+                    [("mul", (np.ones(2), np.ones(2))),
+                     ("sum", (values,)),
+                     ("dot", (values[:9], values[9:18])),
+                     ("add", (np.ones(2), np.ones(2)))])
+
+    def test_budget_at_and_around_every_call_end(self):
+        # 5 adds, a 36-add tree, 12 muls, a 1-op scalar div: budgets one
+        # below, at and one above each call's end, no trace recorded.
+        program = [("add", (np.ones(5), np.ones(5))),
+                   ("sum", (self.values,)),
+                   ("mul", (np.ones((3, 4)), 2.0)),
+                   ("div", (np.float64(1.0), 3.0))]
+        for end in (5, 41, 53, 54):
+            for budget in (end - 1, end, end + 1):
+                for armed in ({}, {FpOp.SUB_D: {0: 1}}):
+                    _assert_same_run(
+                        _pair(op_budget=budget, corruption=armed,
+                              trap_nonfinite=True),
+                        [("sub", (1.0, 1.0))] + program)
+
+    def test_victim_at_every_index_around_call_ranges(self):
+        # Calls and a tree of one op back to back: a victim at each
+        # call's first and last index and just outside it.
+        program = [("add", (np.ones(4), np.ones(4))),
+                   ("add", (np.arange(6.0), 0.5)),
+                   ("sum", (self.values[:9],)),
+                   ("add", (np.ones((2, 3)), np.ones((2, 3))))]
+        for index in range(4 + 6 + 8 + 6 + 2):
+            for trap in (False, True):
+                for extra in ({}, {index + 7: 1 << 52}):
+                    _assert_same_run(
+                        _pair(corruption={FpOp.ADD_D: {index: 0x7FF << 52,
+                                                       **extra}},
+                              trap_nonfinite=trap),
+                        program)
+
+    def test_fast_operand_kinds_with_victims_in_and_out_of_range(self):
+        # np.float64 x np.float64, (r, 1) x (c,) and transposed operands:
+        # MUL_D index ranges [0, 1), [1, 13), [13, 25).
+        column = np.linspace(-1.0, 2.0, 3).reshape(3, 1)
+        row = np.linspace(0.5, 4.0, 4)
+        base = np.linspace(-2.0, 3.0, 12).reshape(4, 3)
+        program = [("mul", (np.float64(1.5), np.float64(-2.0))),
+                   ("mul", (column, row)),
+                   ("mul", (base.T, (base * 2.0).T)),
+                   ("mul", (row, column))]
+        for index in (0, 1, 5, 12, 13, 20, 24, 25, 36, 37, 40):
+            for mask in (1 << 63, 0x7FF << 52):
+                for trap in (False, True):
+                    _assert_same_run(
+                        _pair(corruption={FpOp.MUL_D: {index: mask}},
+                              trap_nonfinite=trap),
+                        program)
+
+
 class TestWorkloads:
     """Every workload at scale tiny: golden and corrupted runs."""
 
