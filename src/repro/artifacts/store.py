@@ -133,9 +133,6 @@ class ArtifactStore:
                 f"object {address} failed content verification")
         return data
 
-    def has_object(self, address: str) -> bool:
-        return self.backend.get(_object_key(address)) is not None
-
     def object_path(self, address: str) -> Path:
         """Local path of an object (directory backends only)."""
         return self._local_backend().path_for(_object_key(address))

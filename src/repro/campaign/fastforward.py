@@ -286,12 +286,6 @@ class SnapshotStore:
                     info["corrupt"] = info.get("corrupt", 0) + 1
                 telemetry.count("campaign.ff.corrupt_snapshots")
 
-    @staticmethod
-    def _consumed(ctx: FPContext,
-                  last_index: Dict[FpOp, int]) -> bool:
-        return all(ctx.counters[op] > last
-                   for op, last in last_index.items())
-
     def _tail_fits(self, ctx: FPContext, golden: Boundary) -> bool:
         """Whether the golden tail from ``golden`` fits the op budget.
 
@@ -312,9 +306,10 @@ class SnapshotStore:
 
         Restores the deepest valid snapshot into ``ctx``/a fresh state,
         replays the suffix, and takes the early exit when the run
-        provably reconverges to the golden tail.  Guest exceptions
-        (budget timeout, traps, crashes) propagate to the caller's
-        classification boundary exactly as under full replay.
+        provably reconverges to the golden tail.  ``ctx`` must carry
+        ``corruption``: it tells when every victim is behind.  Guest
+        exceptions (budget timeout, traps, crashes) propagate to the
+        caller's classification boundary exactly as under full replay.
 
         ``info``, when given, is filled in place (so skip statistics
         survive a guest exception): ``boundary``/``ops_skipped`` on
@@ -332,12 +327,10 @@ class SnapshotStore:
         if boundary.ops_executed:
             telemetry.count("campaign.ff.ops_skipped", boundary.ops_executed)
         ops_at_restore = ctx.ops_executed
-        last_index = {op: max(victims)
-                      for op, victims in corruption.items() if victims}
         more = boundary.more
         while more:
             more = workload.advance(ctx, state)
-            if self.early_exit_safe and self._consumed(ctx, last_index):
+            if self.early_exit_safe and ctx.victims_passed():
                 golden = self._by_digest.get((state_digest(state), more))
                 if golden is not None and self._tail_fits(ctx, golden):
                     # Reconverged onto the golden trajectory: identical

@@ -410,11 +410,6 @@ class CampaignRunner:
                 golden.output, observed)
         return execution
 
-    def run_once(self, model: ErrorModel, point: OperatingPoint,
-                 run_index: int) -> Outcome:
-        """Execute a single injection run and classify it."""
-        return self.execute_run(model, point, run_index).outcome
-
     def campaign(self, model: ErrorModel, point: OperatingPoint,
                  runs: Optional[int] = None,
                  executor: Optional["CampaignExecutor"] = None,

@@ -192,11 +192,6 @@ class CampaignSpec:
         return cls.from_dict(json.loads(blob.decode()))
 
     # -- derived -----------------------------------------------------------------
-    def operating_points(self) -> List[OperatingPoint]:
-        return [OperatingPoint(name=p["name"], voltage=p["voltage"],
-                               temperature_c=p.get("temperature_c", 25.0))
-                for p in self.points]
-
     def items(self) -> List[dict]:
         """One work item per campaign cell, tagged with its home shard."""
         out = []
@@ -404,12 +399,6 @@ class WorkQueue:
         durable.atomic_write_bytes(self._done_path(item_id),
                                    json.dumps(payload).encode())
         self.release(item_id)
-
-    def done_info(self, item_id: str) -> Optional[dict]:
-        try:
-            return json.loads(self._done_path(item_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
 
     # -- aggregate views ---------------------------------------------------------
     def all_done(self) -> bool:

@@ -56,9 +56,6 @@ class NetlistBuilder:
     def and2(self, a: str, b: str) -> str:
         return self.gate("AND2", [a, b])
 
-    def or2(self, a: str, b: str) -> str:
-        return self.gate("OR2", [a, b])
-
     def xor2(self, a: str, b: str) -> str:
         return self.gate("XOR2", [a, b])
 
@@ -141,18 +138,6 @@ class NetlistBuilder:
             s, carry = self.half_adder(bit, carry)
             sums.append(s)
         return sums, carry
-
-    def comparator_eq(self, a: Sequence[str], b: Sequence[str]) -> str:
-        """Equality: reduce XNOR bits with an AND tree."""
-        if len(a) != len(b):
-            raise ValueError("operand widths differ")
-        eq_bits = [self.gate("XNOR2", [ai, bi]) for ai, bi in zip(a, b)]
-        return self.reduce_tree("AND2", eq_bits)
-
-    def comparator_ge(self, a: Sequence[str], b: Sequence[str]) -> str:
-        """Unsigned a >= b via the subtractor's carry-out."""
-        _, no_borrow = self.subtractor(a, b)
-        return no_borrow
 
     def barrel_shifter_right(self, data: Sequence[str],
                              amount: Sequence[str]) -> List[str]:

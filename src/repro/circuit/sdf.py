@@ -52,9 +52,3 @@ def annotate_interconnect(netlist: Netlist, seed: int = 45) -> Dict[str, float]:
         gate.wire_delay_ps = max(0.0, wire)
         sdf[net] = gate.wire_delay_ps
     return sdf
-
-
-def strip_interconnect(netlist: Netlist) -> None:
-    """Remove all wire-delay annotation (back to pre-P&R timing)."""
-    for gate in netlist.gates:
-        gate.wire_delay_ps = 0.0

@@ -75,22 +75,6 @@ class StaticTimingAnalysis:
         return {net: clock_ps - t for net, t in self.output_arrivals().items()}
 
     # -- path enumeration -----------------------------------------------------------
-    def critical_path(self) -> TimingPath:
-        """The single longest path, via backward trace of worst arrivals."""
-        arrival = self.arrival_times()
-        endpoint = max(self.netlist.outputs, key=lambda n: arrival[n])
-        nets: List[str] = [endpoint]
-        net = endpoint
-        while True:
-            gate = self.netlist.driver_of(net)
-            if gate is None or not gate.inputs:
-                break
-            net = max(gate.inputs, key=lambda n: arrival[n])
-            nets.append(net)
-        nets.reverse()
-        return TimingPath(delay_ps=arrival[endpoint], nets=tuple(nets),
-                          endpoint=endpoint, stage=self.netlist.name)
-
     def longest_paths(self, k: int) -> List[TimingPath]:
         """The K longest structural paths, best-first.
 

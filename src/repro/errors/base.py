@@ -132,19 +132,6 @@ class InjectionPlan:
     def injects(self) -> bool:
         return bool(self.victims)
 
-    def by_op(self) -> Dict[FpOp, Tuple[np.ndarray, np.ndarray]]:
-        """Victims grouped per op as (sorted indices, aligned masks)."""
-        grouped: Dict[FpOp, List[Victim]] = {}
-        for victim in self.victims:
-            grouped.setdefault(victim.op, []).append(victim)
-        out: Dict[FpOp, Tuple[np.ndarray, np.ndarray]] = {}
-        for op, victims in grouped.items():
-            victims.sort(key=lambda v: v.index)
-            idx = np.asarray([v.index for v in victims], dtype=np.int64)
-            masks = np.asarray([v.bitmask for v in victims], dtype=np.uint64)
-            out[op] = (idx, masks)
-        return out
-
 
 class ErrorModel(abc.ABC):
     """Contract shared by the DA, IA and WA models (Table I)."""

@@ -166,8 +166,8 @@ def trace_digest(profile: WorkloadProfile) -> str:
 
 
 def _point_key(point: OperatingPoint) -> list:
-    return [point.name, float(point.voltage),
-            getattr(point, "factor", None)]
+    # The always-None third slot keeps existing cache keys byte-stable.
+    return [point.name, float(point.voltage), None]
 
 
 def cache_key(kind: str, *,

@@ -15,7 +15,7 @@ the model injects nothing: the workload can safely run undervolted there
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -148,12 +148,6 @@ class WaModel(ErrorModel):
                                        bitmask=int(tf.bitmasks[j])))
 
     # -- reporting hooks ----------------------------------------------------------------
-    def bit_error_ratio(self, point: OperatingPoint,
-                        op: FpOp) -> Optional[np.ndarray]:
-        """Per-bit BER of a type at a point (the Fig. 8 series)."""
-        tf = self._point_faults(point).get(op)
-        return None if tf is None else tf.ber
-
     def to_dict(self) -> dict:
         return {
             "workload": self.workload,

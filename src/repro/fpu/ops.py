@@ -102,18 +102,3 @@ def values_to_bits(op: FpOp, values: np.ndarray) -> np.ndarray:
     if op.is_double:
         return ieee754.floats_to_bits64(values)
     return ieee754.floats_to_bits32(values).astype(np.uint64)
-
-
-def bits_to_values(op: FpOp, bits: np.ndarray) -> np.ndarray:
-    """Decode result bit patterns of ``op`` into float64 values.
-
-    f2i results decode to the represented integer value (as float64).
-    """
-    bits = np.asarray(bits, dtype=np.uint64)
-    if op.kind == "f2i":
-        if op.is_double:
-            return bits.view(np.int64).astype(np.float64)
-        return bits.astype(np.uint32).view(np.int32).astype(np.float64)
-    if op.is_double:
-        return ieee754.bits64_to_floats(bits)
-    return ieee754.bits32_to_floats(bits.astype(np.uint32)).astype(np.float64)

@@ -278,14 +278,10 @@ class TimingModel:
     def threshold(self, point: OperatingPoint) -> float:
         """Slack threshold th = 1 - 1/f; paths slacker than th survive.
 
-        Plain operating points map through the technology's voltage
-        curve; composed stress points (:mod:`repro.circuit.variation` —
-        aging, temperature, overclocking) carry their delay factor
-        directly.
+        The delay factor f maps the point's supply voltage through the
+        technology's voltage curve.
         """
-        factor = getattr(point, "factor", None)
-        if factor is None:
-            factor = self.technology.delay_factor(point.voltage)
+        factor = self.technology.delay_factor(point.voltage)
         return max(0.0, 1.0 - 1.0 / factor)
 
     def k_star(self, op: FpOp, point: OperatingPoint) -> float:

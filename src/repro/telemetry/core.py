@@ -235,10 +235,6 @@ class Collector:
             stack = self._local.stack = []
         return stack
 
-    def span_path(self) -> str:
-        """Current open-span path of this thread ('' at top level)."""
-        return "/".join(self._stack())
-
     def open_span(self, name: str) -> str:
         stack = self._stack()
         stack.append(name)

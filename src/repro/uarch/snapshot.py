@@ -13,12 +13,6 @@ deterministic execution needs to resume from a checkpoint boundary:
 - **digests** — :func:`state_digest` canonically hashes a state so two
   executions can be proven bit-identical at a boundary without holding
   both states.
-
-:class:`FunctionalCore` gets first-class support: :func:`snapshot_core`
-/ :func:`restore_core` round-trip its registers, memory, program counter
-and dynamic FP position exactly, which is what lets an injection run on
-the functional core restore the nearest checkpoint at or before its
-injection cycle and replay only the suffix.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.uarch.core import FunctionalCore
 from repro.utils import durable
 
 #: Page granularity of the content-addressed store.  Small enough that a
@@ -262,66 +255,3 @@ def state_digest(state: Dict[str, object]) -> str:
                 h.update(b"N")
         h.update(b"\x01")
     return h.hexdigest()
-
-
-# -- FunctionalCore snapshots --------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoreSnapshot:
-    """Full architectural state of a :class:`FunctionalCore`.
-
-    ``pc``/``halted`` pin the control position, ``fp_dyn_count`` the
-    RNG-independent position in the dynamic FP stream (the coordinate an
-    injection map is expressed in), and the register/memory images the
-    data state.  ``digest`` identifies the state for prefix-consistency
-    proofs.
-    """
-
-    pc: int
-    halted: bool
-    fp_dyn_count: int
-    instructions_executed: int
-    image: StateImage
-    digest: str
-
-
-def _core_state(core: FunctionalCore) -> Dict[str, object]:
-    return {
-        "int_regs": np.asarray(core.int_regs, dtype=np.uint64),
-        "fp_regs": np.asarray(core.fp_regs, dtype=np.uint64),
-        "memory": np.asarray(core.memory, dtype=np.uint64),
-    }
-
-
-def snapshot_core(core: FunctionalCore,
-                  store: Optional[PageStore] = None) -> CoreSnapshot:
-    """Capture a core's architectural state (exact, copy-on-write)."""
-    store = store if store is not None else PageStore()
-    state = _core_state(core)
-    return CoreSnapshot(
-        pc=core.pc,
-        halted=core.halted,
-        fp_dyn_count=core.fp_dyn_count,
-        instructions_executed=core.instructions_executed,
-        image=encode_state(store, state),
-        digest=state_digest(state),
-    )
-
-
-def restore_core(core: FunctionalCore, snapshot: CoreSnapshot,
-                 store: PageStore) -> FunctionalCore:
-    """Restore a core to a snapshot, exactly; returns the core."""
-    state = decode_state(store, snapshot.image)
-    core.int_regs = [int(v) for v in state["int_regs"]]
-    core.fp_regs = [int(v) for v in state["fp_regs"]]
-    core.memory = [int(v) for v in state["memory"]]
-    core.pc = snapshot.pc
-    core.halted = snapshot.halted
-    core.fp_dyn_count = snapshot.fp_dyn_count
-    core.instructions_executed = snapshot.instructions_executed
-    return core
-
-
-def core_digest(core: FunctionalCore) -> str:
-    """Digest of a core's current architectural state."""
-    return state_digest(_core_state(core))

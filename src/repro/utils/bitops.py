@@ -83,23 +83,6 @@ def longest_carry_chain(a: int, b: int, width: int) -> int:
     return longest
 
 
-def reverse_bits(value: int, width: int) -> int:
-    """Reverse the low ``width`` bits of ``value``."""
-    out = 0
-    for i in range(width):
-        out = (out << 1) | ((value >> i) & 1)
-    return out
-
-
 def bits_of(value: int, width: int) -> list:
     """Little-endian list of the low ``width`` bits of ``value``."""
     return [(value >> i) & 1 for i in range(width)]
-
-
-def from_bits(bits) -> int:
-    """Inverse of :func:`bits_of`: little-endian bit list to integer."""
-    out = 0
-    for i, b in enumerate(bits):
-        if b:
-            out |= 1 << i
-    return out

@@ -96,16 +96,6 @@ def bits64_to_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits & DOUBLE.mask))[0]
 
 
-def float_to_bits32(value: float) -> int:
-    """Raw 32-bit pattern of value rounded to single precision."""
-    return struct.unpack("<I", struct.pack("<f", value))[0]
-
-
-def bits32_to_float(bits: int) -> float:
-    """Double holding the exact value of a single from its raw pattern."""
-    return struct.unpack("<f", struct.pack("<I", bits & SINGLE.mask))[0]
-
-
 def floats_to_bits64(values: np.ndarray) -> np.ndarray:
     """Vectorised raw-bit view of a float64 array (copy)."""
     return np.asarray(values, dtype=np.float64).view(np.uint64).copy()

@@ -124,6 +124,9 @@ class FPContext:
         self._victims = [self.corruption.get(op) for op in _OPS]
         # Per-op sorted victim indices, bisected by the fast-path test.
         self._victim_keys = [sorted(v) if v else [] for v in self._victims]
+        # (dense index, last victim index) of each op that has victims.
+        self._last_victims = [(index, keys[-1]) for index, keys
+                              in enumerate(self._victim_keys) if keys]
         # Trace buffers keyed by dense index, in first-recorded order.
         self._trace_a: Dict[int, List[np.ndarray]] = {}
         self._trace_b: Dict[int, List[np.ndarray]] = {}
@@ -134,6 +137,11 @@ class FPContext:
     def counters(self) -> Dict[FpOp, int]:
         """Per-op dynamic instruction counts (a fresh dict per read)."""
         return dict(zip(_OPS, self._counts))
+
+    def victims_passed(self) -> bool:
+        """Whether every op's counter has moved past its last victim."""
+        counts = self._counts
+        return all(counts[index] > last for index, last in self._last_victims)
 
     # -- public arithmetic API (double precision) ---------------------------------
     def add(self, a, b):

@@ -186,7 +186,8 @@ class TestClassificationBoundary:
 
     def test_run_once_routes_through_boundary(self, no_masking):
         runner = _runner(_RaisingWorkload(IndexError))
-        assert runner.run_once(_AddModel(), VR20, 0) is Outcome.CRASH
+        execution = runner.execute_run(_AddModel(), VR20, 0)
+        assert execution.outcome is Outcome.CRASH
 
 
 class TestWatchdog:

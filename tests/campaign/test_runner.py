@@ -66,18 +66,19 @@ class TestRunOnce:
     def test_null_model_always_masked(self, tiny_runners):
         runner = tiny_runners["sobel"]
         for i in range(5):
-            assert runner.run_once(_NullModel(), VR20, i) is Outcome.MASKED
+            execution = runner.execute_run(_NullModel(), VR20, i)
+            assert execution.outcome is Outcome.MASKED
 
     def test_hammer_model_produces_errors(self, tiny_runners):
         runner = tiny_runners["sobel"]
-        outcomes = {runner.run_once(_HammerModel(), VR20, i)
+        outcomes = {runner.execute_run(_HammerModel(), VR20, i).outcome
                     for i in range(10)}
         assert outcomes - {Outcome.MASKED}
 
     def test_deterministic_per_index(self, tiny_runners):
         runner = tiny_runners["srad_v1"]
-        a = runner.run_once(_HammerModel(), VR20, 3)
-        b = runner.run_once(_HammerModel(), VR20, 3)
+        a = runner.execute_run(_HammerModel(), VR20, 3).outcome
+        b = runner.execute_run(_HammerModel(), VR20, 3).outcome
         assert a is b
 
 

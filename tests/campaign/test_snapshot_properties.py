@@ -3,9 +3,9 @@
 Three families, each a load-bearing precondition of the differential
 bit-identity proof in ``test_fastforward_differential.py``:
 
-1. **Round-trip exactness** — ``restore(snapshot(core))`` reproduces the
-   architectural state bit for bit, for arbitrary register/memory/PC
-   contents.
+1. **Round-trip exactness** — ``decode_state(encode_state(state))``
+   reproduces the architectural state bit for bit, for arbitrary
+   register/memory/PC contents, even after the live state is clobbered.
 2. **Prefix consistency** — a boundary image recorded during the golden
    build equals the state of a fresh context advanced the same number of
    steps, at any snapshot interval (snapshots are *observations* of the
@@ -21,14 +21,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaign.fastforward import SnapshotStore
 from repro.campaign.runner import CampaignRunner
-from repro.uarch.core import FunctionalCore
 from repro.uarch.snapshot import (
     PageStore,
-    core_digest,
     decode_state,
     encode_state,
-    restore_core,
-    snapshot_core,
     state_digest,
 )
 from repro.workloads import make_workload
@@ -47,37 +43,43 @@ class TestCoreRoundTrip:
     @SETTINGS
     @given(data=st.data())
     def test_restore_of_snapshot_is_exact(self, data):
-        core = FunctionalCore(memory_words=64)
-        core.int_regs = data.draw(
-            st.lists(uint64, min_size=32, max_size=32))
-        core.fp_regs = data.draw(
-            st.lists(uint64, min_size=32, max_size=32))
-        core.memory = data.draw(
-            st.lists(uint64, min_size=64, max_size=64))
-        core.pc = data.draw(st.integers(min_value=0, max_value=1000))
-        core.halted = data.draw(st.booleans())
-        core.fp_dyn_count = data.draw(
-            st.integers(min_value=0, max_value=10**6))
-        core.instructions_executed = data.draw(
-            st.integers(min_value=0, max_value=10**6))
+        int_regs = data.draw(st.lists(uint64, min_size=32, max_size=32))
+        fp_regs = data.draw(st.lists(uint64, min_size=32, max_size=32))
+        memory = data.draw(st.lists(uint64, min_size=64, max_size=64))
+        scalars = {
+            "pc": data.draw(st.integers(min_value=0, max_value=1000)),
+            "halted": data.draw(st.booleans()),
+            "fp_dyn_count": data.draw(
+                st.integers(min_value=0, max_value=10**6)),
+            "instructions_executed": data.draw(
+                st.integers(min_value=0, max_value=10**6)),
+        }
+        state = {
+            "int_regs": np.asarray(int_regs, dtype=np.uint64),
+            "fp_regs": np.asarray(fp_regs, dtype=np.uint64),
+            "memory": np.asarray(memory, dtype=np.uint64),
+            **scalars,
+        }
 
         store = PageStore()
-        snap = snapshot_core(core, store)
-        before = core_digest(core)
+        image = encode_state(store, state)
+        before = state_digest(state)
 
-        # Clobber everything, then restore.
-        clobbered = FunctionalCore(memory_words=64)
-        clobbered.int_regs = [~v & 0xFFFF for v in core.int_regs]
-        restore_core(clobbered, snap, store)
+        # Clobber everything in the live state, then restore.
+        state["int_regs"] ^= np.uint64(0xFFFF)
+        state["fp_regs"][:] = 0
+        state["memory"][::2] = ~state["memory"][::2]
+        state.update(pc=-1, halted=not scalars["halted"], fp_dyn_count=-1,
+                     instructions_executed=-1)
+        restored = decode_state(store, image)
 
-        assert clobbered.int_regs == core.int_regs
-        assert clobbered.fp_regs == core.fp_regs
-        assert clobbered.memory == core.memory
-        assert clobbered.pc == core.pc
-        assert clobbered.halted == core.halted
-        assert clobbered.fp_dyn_count == core.fp_dyn_count
-        assert clobbered.instructions_executed == core.instructions_executed
-        assert core_digest(clobbered) == before == snap.digest
+        assert [int(v) for v in restored["int_regs"]] == int_regs
+        assert [int(v) for v in restored["fp_regs"]] == fp_regs
+        assert [int(v) for v in restored["memory"]] == memory
+        for name, value in scalars.items():
+            assert restored[name] == value
+            assert type(restored[name]) is type(value)
+        assert state_digest(restored) == before
 
     @SETTINGS
     @given(data=st.data())

@@ -103,20 +103,6 @@ class TestSubtractorIncrementerComparators:
             )
             assert values[netlist.outputs[8]] == int(x == 255)
 
-    def test_comparators(self):
-        builder = NetlistBuilder("cmp")
-        a = builder.inputs("a", 6)
-        b = builder.inputs("b", 6)
-        eq = builder.comparator_eq(a, b)
-        ge = builder.comparator_ge(a, b)
-        builder.outputs([eq, ge])
-        netlist = builder.build()
-        for x, y in [(3, 3), (5, 9), (9, 5), (0, 63), (63, 63)]:
-            inputs = {**bus_values("a", 6, x), **bus_values("b", 6, y)}
-            values = netlist.evaluate(inputs)
-            assert values[eq] == int(x == y)
-            assert values[ge] == int(x >= y)
-
 
 class TestShifters:
     @pytest.mark.parametrize("direction", ["right", "left"])

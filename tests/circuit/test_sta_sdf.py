@@ -7,7 +7,6 @@ from repro.circuit.cells import LIBRARY
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import (
     annotate_interconnect,
-    strip_interconnect,
     BASE_WIRE_DELAY_PS,
     FANOUT_DELAY_PS,
 )
@@ -71,16 +70,6 @@ class TestArrivalTimes:
 
 
 class TestPathEnumeration:
-    def test_critical_path_endpoints(self):
-        netlist = build_adder(8)
-        sta = StaticTimingAnalysis(netlist)
-        path = sta.critical_path()
-        assert path.delay_ps == pytest.approx(sta.critical_delay())
-        assert path.nets[0] in netlist.inputs or (
-            netlist.driver_of(path.nets[0]) is not None
-        )
-        assert path.nets[-1] in netlist.outputs
-
     def test_longest_paths_sorted_and_counted(self):
         netlist = build_adder(8)
         paths = StaticTimingAnalysis(netlist).longest_paths(50)
@@ -99,7 +88,7 @@ class TestPathEnumeration:
 
     def test_path_slack(self):
         netlist = _chain_netlist(2)
-        path = StaticTimingAnalysis(netlist).critical_path()
+        path = StaticTimingAnalysis(netlist).longest_paths(1)[0]
         assert path.slack(1000.0) == pytest.approx(1000.0 - path.delay_ps)
 
 
@@ -156,12 +145,3 @@ class TestSdf:
         annotate_interconnect(netlist)
         after = StaticTimingAnalysis(netlist).critical_delay()
         assert after > before
-
-    def test_strip_restores(self):
-        netlist = build_adder(8)
-        before = StaticTimingAnalysis(netlist).critical_delay()
-        annotate_interconnect(netlist)
-        strip_interconnect(netlist)
-        assert StaticTimingAnalysis(netlist).critical_delay() == (
-            pytest.approx(before)
-        )

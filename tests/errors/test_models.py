@@ -5,8 +5,6 @@ import pytest
 
 from repro.circuit.liberty import VR15, VR20
 from repro.errors.base import (
-    InjectionPlan,
-    Victim,
     WorkloadProfile,
     pick_weighted_op,
 )
@@ -36,18 +34,6 @@ class TestBase:
         assert set(profile.ops_present()) == {
             FpOp.MUL_D, FpOp.ADD_D, FpOp.DIV_D
         }
-
-    def test_plan_by_op_groups_and_sorts(self):
-        plan = InjectionPlan(model="X", point="VR20", victims=[
-            Victim(FpOp.MUL_D, 9, 0b1),
-            Victim(FpOp.MUL_D, 3, 0b10),
-            Victim(FpOp.ADD_D, 5, 0b100),
-        ])
-        grouped = plan.by_op()
-        idx, masks = grouped[FpOp.MUL_D]
-        assert list(idx) == [3, 9]
-        assert list(masks) == [0b10, 0b1]
-        assert plan.injects
 
     def test_pick_weighted_op(self):
         weights = {FpOp.MUL_D: 0.0, FpOp.ADD_D: 1.0}

@@ -15,6 +15,7 @@ precisely to exercise it.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -184,22 +185,55 @@ def _assert_inside_wilson(ratio, interval_ratio, trials, label):
         f"[{lo:.6g}, {hi:.6g}] of {successes}/{trials}")
 
 
+def newcombe_interval(x1, n1, x2, n2):
+    """95 % hybrid-score interval for ``x1/n1 - x2/n2``.
+
+    Newcombe (1998), method 10: each side's distance from the point
+    difference combines the two single-sample Wilson intervals.
+    """
+    p1, p2 = x1 / n1, x2 / n2
+    lo1, hi1 = wilson_interval(x1, n1)
+    lo2, hi2 = wilson_interval(x2, n2)
+    diff = p1 - p2
+    return (diff - math.hypot(p1 - lo1, hi2 - p2),
+            diff + math.hypot(hi1 - p1, p2 - lo2))
+
+
+def _assert_same_proportion(ratio, other_ratio, trials, label):
+    """The two estimates' difference interval covers 0."""
+    x1 = int(round(ratio * trials))
+    x2 = int(round(other_ratio * trials))
+    lo, hi = newcombe_interval(x1, trials, x2, trials)
+    assert lo <= 0.0 <= hi, (
+        f"{label}: {x1}/{trials} vs {x2}/{trials}, 95% difference "
+        f"interval [{lo:.6g}, {hi:.6g}] excludes 0")
+
+
+def test_newcombe_interval_matches_published_example():
+    """Newcombe (1998) Table II, example (a): 56/70 - 48/80."""
+    lo, hi = newcombe_interval(56, 70, 48, 80)
+    assert (round(lo, 4), round(hi, 4)) == (0.0524, 0.3339)
+    lo, hi = newcombe_interval(48, 80, 56, 70)
+    assert (round(lo, 4), round(hi, 4)) == (-0.3339, -0.0524)
+
+
 class TestSerialEquivalence:
     """IA/DA agree with the frozen serial references statistically.
 
     The pipeline draws IA operands and DA selections from ``RNG_BLOCK``
     substreams, the references from one sequential stream, so the two
-    are different samples of the same distribution.  Every pipeline
-    error ratio must lie inside the 95 % Wilson interval of the
-    reference's ratio at one fixed seed and sample size.  This is the
-    evidence behind "statistically equivalent" in DESIGN.md §9.
+    are different samples of the same distribution.  For every error
+    ratio, the 95 % Newcombe hybrid-score interval of the difference
+    between the pipeline's and the reference's proportion must cover 0,
+    at one fixed seed and sample size.  This is the evidence behind
+    "statistically equivalent" in DESIGN.md §9.
 
-    The check is strict: two independent estimates of one proportion
-    differ by about sqrt(2) reference standard errors, so even an exact
-    equivalent lands outside the reference's 95 % interval about 17 % of
-    the time per ratio.  At the fixed seed one DA ratio does (see the
-    xfail below).  DA also has an exact population mean, so the pipeline
-    is additionally held to covering it.
+    The two-sample interval is calibrated: for equal proportions it
+    excludes 0 about 5 % of the time per ratio.  Asking whether one
+    estimate lies inside the other's single-sample interval, as this
+    check once did, fails about 17 % of the time.  DA also has an exact
+    population mean, so the pipeline is additionally held to covering
+    it.
     """
 
     @pytest.fixture(scope="class")
@@ -212,26 +246,22 @@ class TestSerialEquivalence:
                               EQUIV_SEED)
         return profiles, model, reference
 
-    def test_ia_ratios_inside_serial_wilson_intervals(self, fpu):
+    def test_ia_ratios_agree_with_serial(self, fpu):
         model = CharacterizationPipeline(fpu=fpu).characterize_ia(
             POINTS, samples_per_op=EQUIV_SAMPLES, seed=EQUIV_SEED)
         reference = serial_ia(POINTS, fpu, EQUIV_SAMPLES, EQUIV_SEED)
         for point in POINTS:
             for op in ALL_OPS:
-                _assert_inside_wilson(
+                _assert_same_proportion(
                     model.stats[point.name][op].error_ratio,
                     reference.stats[point.name][op].error_ratio,
                     EQUIV_SAMPLES, f"IA {point.name} {op.value}")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "seed 2021, 100k: the pipeline's VR15 DA count (69 of 99,998) is "
-        "above the serial reference's interval (49 of 99,998); the exact "
-        "mean is 56.2, so the gap is sampling noise on both sides"))
-    def test_da_ratios_inside_serial_wilson_intervals(self, da_models):
+    def test_da_ratios_agree_with_serial(self, da_models):
         profiles, model, reference = da_models
         trials = da_sample_size(profiles, EQUIV_SAMPLES)
         for point in POINTS:
-            _assert_inside_wilson(
+            _assert_same_proportion(
                 model.fixed_error_ratios[point.name],
                 reference.fixed_error_ratios[point.name],
                 trials, f"DA {point.name}")

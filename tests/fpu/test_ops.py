@@ -5,6 +5,7 @@ import pytest
 
 from repro.fpu import ops, softfloat
 from repro.fpu.formats import ALL_OPS, FpOp
+from repro.utils import ieee754
 from repro.utils.ieee754 import is_nan_bits
 
 
@@ -77,15 +78,11 @@ class TestValueEncoding:
     def test_values_to_bits_roundtrip_double(self, rng):
         values = rng.normal(size=100)
         bits = ops.values_to_bits(FpOp.ADD_D, values)
-        assert np.array_equal(ops.bits_to_values(FpOp.ADD_D, bits), values)
+        assert np.array_equal(ieee754.bits64_to_floats(bits), values)
 
     def test_values_to_bits_single_rounds(self):
         bits = ops.values_to_bits(FpOp.ADD_S, np.array([1.0 + 2**-30]))
-        assert ops.bits_to_values(FpOp.ADD_S, bits)[0] == 1.0
-
-    def test_bits_to_values_f2i(self):
-        raw = np.array([(-5) & ((1 << 64) - 1)], dtype=np.uint64)
-        assert ops.bits_to_values(FpOp.F2I_D, raw)[0] == -5.0
+        assert ieee754.bits32_to_floats(bits.astype(np.uint32))[0] == 1.0
 
     def test_nan_detection_roundtrip(self):
         bits = ops.values_to_bits(FpOp.MUL_D, np.array([float("nan"), 1.0]))

@@ -30,11 +30,11 @@ from repro.fpu.softfloat import (
 from repro.utils.ieee754 import (
     DOUBLE,
     SINGLE,
-    bits32_to_float,
     bits64_to_float,
-    float_to_bits32,
     float_to_bits64,
 )
+
+from tests.utils.scalar_oracles import bits32_to_float, float_to_bits32
 
 BITS64 = st.integers(0, (1 << 64) - 1)
 BITS32 = st.integers(0, (1 << 32) - 1)

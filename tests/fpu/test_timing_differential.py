@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 from unittest import mock
 
@@ -25,12 +26,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.circuit.liberty import NOMINAL, VR15, VR20  # noqa: E402
-from repro.circuit.variation import StressCondition, StressPoint  # noqa: E402
+from repro.circuit.liberty import (  # noqa: E402
+    NOMINAL, OperatingPoint, VR15, VR20)
 from repro.errors.characterize import _per_bit_counts  # noqa: E402
 from repro.fpu import ops, stages, timing  # noqa: E402
 from repro.fpu.formats import ALL_OPS, FpOp  # noqa: E402
-from repro.fpu.timing import DEFAULT_MODEL, TimingModel  # noqa: E402
+from repro.fpu.timing import TimingModel  # noqa: E402
 from repro.utils.bitops import bit_length64, count_ones  # noqa: E402
 
 _u = np.uint64
@@ -325,11 +326,36 @@ def _ref_error_masks(model: TimingModel, op: FpOp, a: np.ndarray,
 
 # -- operands and operating points --------------------------------------------
 
-#: A composed stress point (undervolting + aging + heat) carrying its
-#: delay factor, and a deep one where double-precision k* clamps to 1
-#: and single-precision paths fail too.
-STRESS = StressCondition(voltage_reduction=0.15, years=7.0,
-                         temperature_c=85.0).operating_point("STRESS")
+@dataclass(frozen=True)
+class StressPoint(OperatingPoint):
+    """An operating point that carries its delay factor directly."""
+
+    factor: float = 1.0
+
+
+class StressTimingModel(TimingModel):
+    """The library's timing model, taking a stress point's own factor.
+
+    Only the threshold differs: both the kernel under test and the
+    frozen reference read every point's threshold through it, so deep
+    points beyond the voltage curve drive the same kernels.
+    """
+
+    def threshold(self, point: OperatingPoint) -> float:
+        if isinstance(point, StressPoint):
+            return max(0.0, 1.0 - 1.0 / point.factor)
+        return super().threshold(point)
+
+
+#: The model both paths run: the library's default configuration and
+#: technology, with stress points honoured.
+DEFAULT_MODEL = StressTimingModel()
+
+#: A composed stress point (15 % undervolting, seven years of aging at
+#: 85 C) carrying its delay factor, and a deep one where double-precision
+#: k* clamps to 1 and single-precision paths fail too.
+STRESS = StressPoint(name="STRESS", voltage=0.935, temperature_c=85.0,
+                     factor=float.fromhex("0x1.679ca91e6a2b3p+0"))
 DEEP = StressPoint(name="DEEP", voltage=0.5, factor=20.0)
 
 POINT_LISTS = {

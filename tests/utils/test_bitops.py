@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.utils import bitops
 
+from tests.utils.scalar_oracles import from_bits
+
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
@@ -111,11 +113,4 @@ class TestCarryChains:
 class TestBitLists:
     @given(U64)
     def test_bits_roundtrip(self, value):
-        assert bitops.from_bits(bitops.bits_of(value, 64)) == value
-
-    def test_reverse_bits(self):
-        assert bitops.reverse_bits(0b0011, 4) == 0b1100
-
-    @given(st.integers(0, 0xFF))
-    def test_reverse_involution(self, value):
-        assert bitops.reverse_bits(bitops.reverse_bits(value, 8), 8) == value
+        assert from_bits(bitops.bits_of(value, 64)) == value

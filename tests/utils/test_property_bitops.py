@@ -17,12 +17,12 @@ from repro.utils.bitops import (
     bits_of,
     count_ones,
     extract_field,
-    from_bits,
     longest_carry_chain,
     popcount64,
-    reverse_bits,
     set_bits,
 )
+
+from tests.utils.scalar_oracles import from_bits
 
 U64 = st.integers(min_value=0, max_value=MASK64)
 WIDTH = st.integers(min_value=1, max_value=64)
@@ -65,15 +65,6 @@ def test_extract_field_rejects_negative_geometry(value):
         extract_field(value, -1, 4)
     with pytest.raises(ValueError):
         extract_field(value, 4, -1)
-
-
-@given(U64, WIDTH)
-def test_reverse_bits_is_an_involution(value, width):
-    value &= (1 << width) - 1
-    reversed_once = reverse_bits(value, width)
-    assert reversed_once < (1 << width)
-    assert popcount64(reversed_once) == popcount64(value)
-    assert reverse_bits(reversed_once, width) == value
 
 
 @given(U64, WIDTH)

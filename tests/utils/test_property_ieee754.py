@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 from repro.utils.ieee754 import (
     DOUBLE,
     SINGLE,
-    bits32_to_float,
     bits32_to_floats,
     bits64_to_float,
     bits64_to_floats,
-    float_to_bits32,
     float_to_bits64,
     floats_to_bits32,
     floats_to_bits64,
     is_nan_bits,
 )
+
+from tests.utils.scalar_oracles import bits32_to_float, float_to_bits32
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 FMT = st.sampled_from([SINGLE, DOUBLE])

@@ -108,6 +108,20 @@ class TestCorruption:
         out = ctx.f2i(np.array([2.0]))
         assert out[0] == 2 ^ (1 << 10)
 
+    def test_victims_passed_after_every_last_victim(self):
+        ctx = FPContext(corruption={FpOp.MUL_D: {3: 1, 7: 1},
+                                    FpOp.ADD_D: {2: 1}, FpOp.SUB_D: {}})
+        assert not ctx.victims_passed()
+        ctx.mul(np.ones(8), np.ones(8))  # MUL_D counter 8 > 7
+        assert not ctx.victims_passed()
+        ctx.add(np.ones(2), np.ones(2))  # ADD_D counter 2, victim 2 ahead
+        assert not ctx.victims_passed()
+        ctx.add(1.0, 1.0)
+        assert ctx.victims_passed()
+        ctx.restore_position({FpOp.MUL_D: 7, FpOp.ADD_D: 3}, 10)
+        assert not ctx.victims_passed()
+        assert FPContext().victims_passed()
+
 
 class TestBudgetAndTraps:
     def test_budget_timeout(self):
