@@ -1,8 +1,8 @@
 """Unified content-addressed artifact layer.
 
 - :mod:`repro.artifacts.backend` — the flat byte-store protocol and its
-  two implementations (local directory with crash-consistent writes and
-  orphan-tmp sweeping; in-memory for tests and as the S3 template),
+  local-directory implementation (crash-consistent writes and orphan-tmp
+  sweeping),
 - :mod:`repro.artifacts.store` — the :class:`ArtifactStore`: immutable
   SHA-256-addressed objects, per-namespace keyed refs, quarantine for
   anything that fails verification, and local stream paths for
@@ -18,7 +18,6 @@ caches through a single directory (or, later, bucket).
 from repro.artifacts.backend import (
     Backend,
     LocalDirBackend,
-    MemoryBackend,
     decode_key,
     encode_key,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ArtifactStore",
     "Backend",
     "LocalDirBackend",
-    "MemoryBackend",
     "ObjectCorruption",
     "QUARANTINE_SUFFIX",
     "decode_key",

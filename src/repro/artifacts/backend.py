@@ -7,7 +7,7 @@ quarantine, emulatable on object stores as copy+delete).  Everything
 clever (content addressing, checksums, refs, quarantine policy) lives
 one level up in :class:`repro.artifacts.ArtifactStore`; backends stay
 dumb enough that an S3/GCS implementation is a straight transliteration
-of :class:`MemoryBackend` onto a bucket client.
+of the verbs onto a bucket client.
 
 :class:`LocalDirBackend` is the production backend: every ``put`` is a
 crash-consistent atomic write (temp + fsync + rename, via
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import urllib.parse
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Protocol, Union
+from typing import Iterator, Optional, Protocol, Union
 
 from repro.utils import durable
 
@@ -80,38 +80,6 @@ class Backend(Protocol):
     def list_keys(self, prefix: str = "") -> Iterator[str]:
         """All keys under ``prefix`` (decoded), in sorted order."""
         ...
-
-
-class MemoryBackend:
-    """Dict-backed backend: tests, and the S3 transliteration template."""
-
-    def __init__(self):
-        self._blobs: Dict[str, bytes] = {}
-
-    def get(self, key: str) -> Optional[bytes]:
-        return self._blobs.get(key)
-
-    def put(self, key: str, data: bytes, target: str = "artifact") -> None:
-        # The fault hook applies even in memory so chaos plans can
-        # target artifact writes regardless of backend.
-        written, failure = durable.get_fault_hook().filter_write(
-            target, key, data)
-        self._blobs[key] = bytes(written)
-        if failure is not None:
-            raise failure
-
-    def delete(self, key: str) -> bool:
-        return self._blobs.pop(key, None) is not None
-
-    def rename(self, key: str, new_key: str) -> bool:
-        blob = self._blobs.pop(key, None)
-        if blob is None:
-            return False
-        self._blobs[new_key] = blob
-        return True
-
-    def list_keys(self, prefix: str = "") -> Iterator[str]:
-        return iter(sorted(k for k in self._blobs if k.startswith(prefix)))
 
 
 class LocalDirBackend:

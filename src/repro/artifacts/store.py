@@ -36,7 +36,6 @@ from typing import Dict, Iterator, List, Optional, Union
 from repro.artifacts.backend import (
     Backend,
     LocalDirBackend,
-    MemoryBackend,
     encode_key,
 )
 
@@ -89,10 +88,6 @@ class ArtifactStore:
     @classmethod
     def local(cls, root: PathLike) -> "ArtifactStore":
         return cls(LocalDirBackend(root))
-
-    @classmethod
-    def in_memory(cls) -> "ArtifactStore":
-        return cls(MemoryBackend())
 
     @property
     def local_root(self) -> Optional[Path]:

@@ -30,7 +30,6 @@ from repro.campaign.executor import (
 from repro.campaign.journal import RunJournal, RunRecord, run_key
 from repro.campaign.avm import (
     EnergyAnalysis,
-    application_vulnerability,
     avm_divergence,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "RunRecord",
     "run_key",
     "EnergyAnalysis",
-    "application_vulnerability",
     "avm_divergence",
 ]

@@ -61,7 +61,6 @@ __all__ = [
     "anytime_wilson_ci",
     "look_schedule",
     "run_adaptive_cells",
-    "weighted_estimates",
 ]
 
 #: Stop-rule identifiers carried in journals, /status and trajectories.
@@ -301,11 +300,6 @@ class AdaptiveCellStream:
     @property
     def stopped(self) -> bool:
         return self.sampler.decision is not None
-
-    @property
-    def exhausted(self) -> bool:
-        """No more fresh indices to hand out."""
-        return self.stopped or self._next >= self.budget
 
     @property
     def abandoned(self) -> int:
@@ -655,28 +649,3 @@ class ImportanceModel(ErrorModel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ImportanceModel({self.base!r})"
-
-
-def weighted_estimates(records) -> Dict[str, float]:
-    """HT and self-normalized AVM estimators over weighted run records.
-
-    ``avm_ht = Σ wᵢ·1[non-masked] / n`` is unbiased for the uniform AVM
-    under the importance proposal; ``avm_sn`` trades a small bias for
-    much lower variance when weights are skewed.  For uniform campaigns
-    (all weights 1.0) both collapse to the plain AVM.
-    """
-    n = 0
-    weight_sum = 0.0
-    weighted_nm = 0.0
-    for record in records:
-        n += 1
-        weight = float(getattr(record, "weight", 1.0))
-        weight_sum += weight
-        if getattr(record, "outcome", str(record)) != "Masked":
-            weighted_nm += weight
-    return {
-        "runs": n,
-        "weight_sum": weight_sum,
-        "avm_ht": weighted_nm / n if n else 0.0,
-        "avm_sn": weighted_nm / weight_sum if weight_sum else 0.0,
-    }

@@ -22,15 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.outcomes import OutcomeCounts
 from repro.campaign.runner import CampaignResult
 from repro.circuit.liberty import OperatingPoint, TECHNOLOGY, VoltageScalingModel
-from repro.utils.stats import geometric_mean
-
-
-def application_vulnerability(counts: OutcomeCounts) -> float:
-    """Eq. 4 on a finished campaign tally."""
-    return counts.avm
+from repro.utils.stats import geometric_mean, ratio_divergence
 
 
 def avm_divergence(results: Sequence[CampaignResult],
@@ -79,14 +73,12 @@ def error_ratio_divergence(results: Sequence[CampaignResult],
     for cell in by_cell.values():
         if reference_model not in cell:
             continue
-        ref = max(cell[reference_model], default_floor)
+        ref = cell[reference_model]
         for model, ratio in cell.items():
             if model == reference_model:
                 continue
-            measured = max(ratio, default_floor)
             folds.setdefault(model, []).append(
-                max(measured / ref, ref / measured)
-            )
+                ratio_divergence(ratio, ref, default_floor))
     return {model: geometric_mean(vals) for model, vals in folds.items()
             if vals}
 

@@ -16,7 +16,6 @@ environment variable (see :mod:`repro.chaos.supervisor`).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -135,10 +134,6 @@ class FaultPlan:
             "fault_incarnations": self.fault_incarnations,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         return cls(
@@ -152,7 +147,3 @@ class FaultPlan:
             fault_incarnations=int(data.get("fault_incarnations",
                                             1_000_000)),
         )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(blob))

@@ -10,10 +10,8 @@ behaviour-relevant equivalents:
 - :mod:`repro.circuit.builder` — datapath structure generators (synthesis),
 - :mod:`repro.circuit.sdf` — interconnect delay annotation (place & route),
 - :mod:`repro.circuit.sta` — static timing analysis (Eq. 1 of the paper),
-- :mod:`repro.circuit.eventsim` — event-driven gate-level timing simulation,
-- :mod:`repro.circuit.dta` — dynamic timing analysis (Section III.A.1),
-- :mod:`repro.circuit.backend` — batch-first :class:`TimingBackend` protocol,
-- :mod:`repro.circuit.bitsim` — levelized bit-parallel batch DTA engine.
+- :mod:`repro.circuit.bitsim` — dynamic timing analysis (Section III.A.1):
+  the levelized bit-parallel gate-level engine.
 """
 
 from repro.circuit.cells import Cell, CellLibrary, default_library
@@ -22,19 +20,11 @@ from repro.circuit.netlist import Gate, Netlist
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.sdf import annotate_interconnect
 from repro.circuit.sta import StaticTimingAnalysis, TimingPath
-from repro.circuit.eventsim import EventSimulator, SimulationResult
-from repro.circuit.dta import DynamicTimingAnalysis, DtaOutcome
-from repro.circuit.backend import (
-    TIMING_BACKENDS,
-    DEFAULT_TIMING_BACKEND,
+from repro.circuit.bitsim import (
     BatchOutcome,
-    TimingBackend,
-    make_timing_backend,
-    pack_input_words,
-    stream_words,
-    unpack_input_words,
+    BitParallelSimulator,
+    BitParallelTimingAnalysis,
 )
-from repro.circuit.bitsim import BitParallelSimulator, BitParallelTimingAnalysis
 
 __all__ = [
     "Cell",
@@ -51,18 +41,7 @@ __all__ = [
     "annotate_interconnect",
     "StaticTimingAnalysis",
     "TimingPath",
-    "EventSimulator",
-    "SimulationResult",
-    "DynamicTimingAnalysis",
-    "DtaOutcome",
-    "TIMING_BACKENDS",
-    "DEFAULT_TIMING_BACKEND",
     "BatchOutcome",
-    "TimingBackend",
-    "make_timing_backend",
-    "pack_input_words",
-    "stream_words",
-    "unpack_input_words",
     "BitParallelSimulator",
     "BitParallelTimingAnalysis",
 ]

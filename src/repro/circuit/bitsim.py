@@ -1,31 +1,35 @@
-"""Levelized bit-parallel gate simulation (batched DTA engine).
+"""Levelized bit-parallel gate simulation: the gate-level DTA engine.
 
-The event-driven reference (:mod:`repro.circuit.eventsim`) walks one
-transition at a time, one heap event per net toggle.  This module runs
-*batches*: the netlist is levelized once (topological gate order, nets
-renamed to dense integer ids, cell functions compiled to mask-aware
-bitwise kernels), and every net carries a *lane word* holding one bit
-per batch vector — a single Python-int/uint64 bitwise op evaluates a
-gate for 64 lanes at once, with a numpy ``uint64``-array variant for
-wider batches.
+The paper's gate-level step is two-instance DTA: a nominal and a
+voltage-scaled simulation of the same netlist, sampled at the clock
+edge and XOR-compared (Section III.A.1).  This module runs it on
+*batches* of input transitions: the netlist is levelized once
+(topological gate order, nets renamed to dense integer ids, cell
+functions compiled to mask-aware bitwise kernels), and every net
+carries a *lane word* holding one bit per batch vector — a single
+Python-int/uint64 bitwise op evaluates a gate for 64 lanes at once,
+with a numpy ``uint64``-array variant for wider batches.
+
+Lane encoding: a batch input is one word per primary input net, in
+``netlist.inputs`` order; bit ``j`` of word ``i`` is input ``i``'s
+value in lane ``j``.
 
 Timing is reproduced exactly by walking event *times* instead of
 events: at each scheduled time, all pending net-word updates are applied
 first, then every gate with a changed input (in any lane) is evaluated
 once against the fully-updated words and its output word is scheduled
-one gate delay later.  Because the transport-delay waveform of the
-event simulator satisfies ``out(t) = f(inputs(t - delay))``, this walk
-reproduces the reference waveform per lane bit-for-bit, so golden,
-sampled and fault-mask verdicts are bit-identical to
-``EventSimulator`` + ``DynamicTimingAnalysis``.  The golden words are
+one gate delay later.  Because a transport-delay waveform satisfies
+``out(t) = f(inputs(t - delay))``, this walk reproduces a one-transition
+event-driven simulation per lane bit-for-bit; the test suite keeps that
+event engine as its reference and requires golden, sampled and
+fault-mask verdicts to be bit-identical to it.  The golden words are
 the walk's final net words: once every event has been applied, each
 gate output equals its function of the settled ``cur`` inputs, which
-is exactly the zero-delay settle of ``cur`` (a second settle pass would
-recompute them).  The one deliberate difference: settle times track the
-final waveform only, so zero-width hazard pulses (transient glitches
-that revert within a single timestamp) do not advance
-``worst_settle_ps`` the way the reference's per-event bookkeeping does;
-verdicts are unaffected.
+is exactly the zero-delay settle of ``cur``.  The one deliberate
+difference: settle times track the final waveform only, so zero-width
+hazard pulses (transient glitches that revert within a single
+timestamp) do not advance ``worst_settle_ps`` the way an event engine's
+per-event bookkeeping does; verdicts are unaffected.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.backend import BatchOutcome
 from repro.circuit.cells import Cell
 from repro.circuit.netlist import Netlist
 from repro import telemetry
@@ -189,6 +192,39 @@ def compile_cell(cell: Cell) -> Callable:
     return fn
 
 
+@dataclass(frozen=True)
+class BatchOutcome:
+    """Per-lane DTA verdicts for one batch of input transitions.
+
+    ``golden``/``sampled``/``bitmask`` are per-lane packed output words
+    (bit ``i`` = primary output ``outputs[i]``).  ``worst_settle_ps`` is
+    the per-lane latest settling time of the *final output waveform*
+    (zero-width hazard pulses excluded — see DESIGN.md section 12).
+    """
+
+    outputs: Tuple[str, ...]
+    golden: Tuple[int, ...]
+    sampled: Tuple[int, ...]
+    bitmask: Tuple[int, ...]
+    worst_settle_ps: Tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.golden)
+
+    @property
+    def faulty(self) -> Tuple[bool, ...]:
+        return tuple(mask != 0 for mask in self.bitmask)
+
+    @property
+    def error_count(self) -> int:
+        return sum(1 for mask in self.bitmask if mask)
+
+    def error_ratio(self) -> float:
+        if not self.golden:
+            raise ValueError("empty batch has no error ratio")
+        return self.error_count / len(self.golden)
+
+
 @dataclass
 class BatchSimResult:
     """Raw walk output: per-primary-output lane words plus settle times."""
@@ -259,13 +295,6 @@ class BitParallelSimulator:
             values[out_id] = fn(mask, *[values[i] for i in in_ids])
         return values
 
-    def settle_output_words(self, input_words: Sequence[int],
-                            count: int) -> List[int]:
-        """Zero-delay output lane words; ``simulate_batch`` ends on these."""
-        ops = _IntOps
-        values = self._settle(input_words, count, ops, ops.make_mask(count))
-        return [values[i] for i in self._output_ids]
-
     def simulate_batch(self, prev_words: Sequence[int],
                        cur_words: Sequence[int], count: int,
                        sample_at: float,
@@ -273,8 +302,7 @@ class BitParallelSimulator:
         """Settle at ``prev``, transition to ``cur``, sample at ``sample_at``.
 
         One walk covers all ``count`` lanes; lanes are independent
-        transitions exactly as if each had been run through
-        :class:`~repro.circuit.eventsim.EventSimulator` alone.
+        transitions exactly as if each had been simulated alone.
         """
         if count < 1:
             raise ValueError("batch must contain at least one lane")
@@ -366,15 +394,14 @@ def _pack_lanes(words: Sequence[int], count: int) -> Tuple[int, ...]:
 
 
 class BitParallelTimingAnalysis:
-    """Bit-parallel two-instance DTA; drop-in for ``DynamicTimingAnalysis``.
+    """Bit-parallel two-instance DTA over a netlist (Section III.A.1).
 
-    Verdicts (golden, sampled, fault bitmask) are bit-identical to the
-    event-driven engine; ``worst_settle_ps`` tracks final-waveform
-    settling only (hazard pulses excluded), so it is <= the reference's
-    value and equal whenever no zero-width hazard reaches an output.
+    Verdicts (golden, sampled, fault bitmask) are bit-identical to an
+    event-driven simulation of each lane; ``worst_settle_ps`` tracks
+    final-waveform settling only (hazard pulses excluded), so it is <=
+    an event engine's value and equal whenever no zero-width hazard
+    reaches an output.
     """
-
-    name = "bitparallel"
 
     def __init__(self, netlist: Netlist, clock_ps: float,
                  delay_factor: float, lane_mode: Optional[str] = None):

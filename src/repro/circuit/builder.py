@@ -304,8 +304,3 @@ def build_lzc(width: int, name: str = "") -> Netlist:
     count = builder.leading_zero_counter(data)
     builder.outputs(count)
     return builder.build()
-
-
-def bus_values(prefix: str, width: int, value: int):
-    """Input assignment dict for a little-endian bus (includes nothing else)."""
-    return {f"{prefix}[{i}]": (value >> i) & 1 for i in range(width)}

@@ -26,10 +26,6 @@ class OperatingPoint:
     voltage: float
     temperature_c: float = 25.0
 
-    def reduction_from(self, nominal_voltage: float) -> float:
-        """Fractional voltage reduction relative to ``nominal_voltage``."""
-        return 1.0 - self.voltage / nominal_voltage
-
 
 class VoltageScalingModel:
     """Alpha-power-law delay scaling for a 45 nm-like technology.
@@ -67,12 +63,6 @@ class VoltageScalingModel:
     def delay_factor(self, voltage: float) -> float:
         """Delay multiplier at ``voltage`` relative to nominal (>= 1 below nominal)."""
         return self._k(voltage) / self._nominal_k
-
-    def delay_factor_for_reduction(self, reduction: float) -> float:
-        """Delay multiplier for a fractional voltage reduction (e.g. 0.15)."""
-        if not 0.0 <= reduction < 1.0:
-            raise ValueError("reduction must be in [0, 1)")
-        return self.delay_factor(self.nominal_voltage * (1.0 - reduction))
 
     def operating_point(self, reduction: float, name: str = "") -> OperatingPoint:
         """Operating point for a fractional reduction below nominal."""

@@ -162,11 +162,6 @@ class Netlist:
             values[gate.output] = gate.cell.evaluate(operands)
         return values
 
-    def evaluate_outputs(self, input_values: Dict[str, int]) -> Dict[str, int]:
-        """Zero-delay evaluation restricted to primary outputs."""
-        values = self.evaluate(input_values)
-        return {net: values[net] for net in self.outputs}
-
     def stats(self) -> Dict[str, int]:
         """Cell-count summary, like a synthesis report."""
         counts: Dict[str, int] = {}

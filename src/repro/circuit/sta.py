@@ -65,15 +65,6 @@ class StaticTimingAnalysis:
             raise ValueError(f"netlist {self.netlist.name} has no outputs")
         return max(arrival[net] for net in self.netlist.outputs)
 
-    def output_arrivals(self) -> Dict[str, float]:
-        """Arrival time of each primary output."""
-        arrival = self.arrival_times()
-        return {net: arrival[net] for net in self.netlist.outputs}
-
-    def slack_per_output(self, clock_ps: float) -> Dict[str, float]:
-        """Setup slack of each primary output against ``clock_ps``."""
-        return {net: clock_ps - t for net, t in self.output_arrivals().items()}
-
     # -- path enumeration -----------------------------------------------------------
     def longest_paths(self, k: int) -> List[TimingPath]:
         """The K longest structural paths, best-first.

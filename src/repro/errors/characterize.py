@@ -21,8 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.circuit.backend import DEFAULT_TIMING_BACKEND, make_timing_backend
-from repro.circuit.bitsim import AUTO_NUMPY_LANES
+from repro.circuit.bitsim import AUTO_NUMPY_LANES, BitParallelTimingAnalysis
 from repro.circuit.netlist import Netlist
 from repro.fpu import ops
 from repro.fpu.formats import FpOp
@@ -73,7 +72,7 @@ def random_vector_words(netlist: Netlist, count: int,
     of word ``i`` is input ``i``'s value in stream position ``j``.  The
     stream is generated directly in lane form — no per-vector dicts —
     and depends only on (netlist input order, count, rng state), never
-    on which timing backend consumes it.
+    on which timing engine consumes it.
     """
     words: List[int] = []
     for _ in netlist.inputs:
@@ -88,12 +87,10 @@ class GateCharacterization:
     """Gate-level DTA error statistics for one netlist + operating point.
 
     The gate-level analogue of an IA row: error ratio and per-output-bit
-    flip counts over a uniform random back-to-back vector stream, as
-    produced by either timing backend (verdicts are backend-invariant).
+    flip counts over a uniform random back-to-back vector stream.
     """
 
     netlist: str
-    backend: str
     clock_ps: float
     delay_factor: float
     analysed: int
@@ -111,29 +108,32 @@ class GateCharacterization:
 def characterize_gate(netlist: Netlist, clock_ps: float,
                       delay_factor: float,
                       samples: int = 4096, seed: int = 2021,
-                      backend: str = DEFAULT_TIMING_BACKEND,
+                      backend: str = "bitparallel",
                       lanes: int = AUTO_NUMPY_LANES
                       ) -> GateCharacterization:
     """Gate-level DTA characterisation over a random vector stream.
 
-    Streams ``samples`` back-to-back transitions through the timing
-    backend named ``backend`` (``event`` or ``bitparallel``, see
-    :data:`~repro.circuit.backend.TIMING_BACKENDS`) in batches of at most
-    ``lanes`` lanes.  The default is the widest batch the bit-parallel
+    Streams ``samples`` back-to-back transitions through
+    :class:`~repro.circuit.bitsim.BitParallelTimingAnalysis` in batches
+    of at most ``lanes`` lanes.  The default is the widest batch the
     engine still runs on Python-int lane words (one interpreter dispatch
     per gate whatever the width), so a stream of up to that many
     transitions is one walk.  The whole path works on packed lane
     words — the operand stream is generated, sliced and analysed without
-    ever constructing a per-vector ``Dict[str, int]`` — and the stream
-    itself is backend-independent, so ``event`` and ``bitparallel`` runs
-    see byte-identical inputs (the differential bench relies on this).
+    ever constructing a per-vector ``Dict[str, int]``.
     """
+    # Bit-parallel is the only engine.  ``backend`` stays only because
+    # perfbench's model_dev job passes backend="bitparallel"; drop it in
+    # the first change that may edit perfbench/.
+    if backend != "bitparallel":
+        raise ValueError(
+            f"unknown timing backend {backend!r}; expected 'bitparallel'")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if lanes < 1:
         raise ValueError("lanes must be >= 1")
-    engine = make_timing_backend(backend, netlist, clock_ps=clock_ps,
-                                 delay_factor=delay_factor)
+    engine = BitParallelTimingAnalysis(netlist, clock_ps=clock_ps,
+                                       delay_factor=delay_factor)
     rng = RngStream(seed, f"gate-characterization/{netlist.name}")
     stream = random_vector_words(netlist, samples + 1, rng)
 
@@ -162,7 +162,6 @@ def characterize_gate(netlist: Netlist, clock_ps: float,
     telemetry.count("characterize.gate.samples", samples)
     return GateCharacterization(
         netlist=netlist.name,
-        backend=engine.name,
         clock_ps=clock_ps,
         delay_factor=delay_factor,
         analysed=samples,

@@ -160,7 +160,7 @@ def loads_model(blob: bytes, expected_kind: Optional[str] = None):
 
     Rejects a kind mismatch when ``expected_kind`` is given; raises
     :class:`ArtifactCorruption` on checksum failure, ``ValueError`` on
-    unsupported formats — exactly the :func:`load_da`-family contract.
+    unsupported formats — exactly the :func:`load_any` contract.
     """
     data = json.loads(blob.decode("utf-8"))
     kind = data.get("model")
@@ -176,28 +176,16 @@ def save_da(model: DaModel, path: PathLike,
                  path, target)
 
 
-def load_da(path: PathLike) -> DaModel:
-    return loads_model(Path(path).read_bytes(), "DA")
-
-
 def save_ia(model: IaModel, path: PathLike,
             target: str = "store") -> Path:
     return _save(_wrap("IA", _payload(model, "IA"), model.provenance),
                  path, target)
 
 
-def load_ia(path: PathLike) -> IaModel:
-    return loads_model(Path(path).read_bytes(), "IA")
-
-
 def save_wa(model: WaModel, path: PathLike,
             target: str = "store") -> Path:
     return _save(_wrap("WA", model.to_dict(), model.provenance), path,
                  target)
-
-
-def load_wa(path: PathLike) -> WaModel:
-    return loads_model(Path(path).read_bytes(), "WA")
 
 
 def load_any(path: PathLike):

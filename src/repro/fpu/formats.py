@@ -5,7 +5,7 @@ the two int<->float conversions, each in single and double precision —
 matching the marocchino FPU configuration the paper characterises.  Every
 instruction knows its format geometry and latency class; the timing model
 keys its calibration constants off :attr:`FpOp.kind` and
-:attr:`FpOp.precision`.
+:attr:`FpOp.is_double`.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class FpOp(enum.Enum):
     def kind(self) -> str:
         """Operation family: add/sub/mul/div/i2f/f2i."""
         return _KIND[self]
-
-    @property
-    def precision(self) -> str:
-        return "double" if _IS_DOUBLE[self] else "single"
 
     @property
     def fmt(self) -> FloatFormat:

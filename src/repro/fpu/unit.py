@@ -1,9 +1,7 @@
 """FPU facade: golden execution + dynamic timing analysis in one object.
 
 ``FPU`` is what the rest of the framework talks to: the model-development
-phase calls :meth:`FPU.dta` to characterise error behaviour, and the
-application-evaluation phase uses :meth:`FPU.execute_batch` for golden
-results and applies model bitmasks on top.
+phase calls :meth:`FPU.dta` to characterise error behaviour.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.circuit.liberty import NOMINAL, OperatingPoint
+from repro.circuit.liberty import OperatingPoint
 from repro.fpu import ops, softfloat
 from repro.fpu.formats import FpOp
 from repro.fpu.timing import DEFAULT_MODEL, TimingModel
@@ -35,10 +33,6 @@ class DtaBatch:
     golden: np.ndarray
     masks: Dict[str, np.ndarray]
 
-    def faulty_results(self, point_name: str) -> np.ndarray:
-        """The values the scaled instance would actually latch."""
-        return self.golden ^ self.masks[point_name]
-
     def error_ratio(self, point_name: str) -> float:
         """Eq. 2 for this batch at the given operating point."""
         mask = self.masks[point_name]
@@ -56,11 +50,6 @@ class FPU:
         """Scalar golden execution (bit-accurate softfloat reference)."""
         return softfloat.execute(op, a, b)
 
-    def execute_batch(self, op: FpOp, a: np.ndarray,
-                      b: Optional[np.ndarray] = None) -> np.ndarray:
-        """Vectorised golden execution over raw bit patterns."""
-        return ops.golden(op, a, b)
-
     # -- dynamic timing analysis ----------------------------------------------------
     def dta(self, op: FpOp, a: np.ndarray, b: Optional[np.ndarray],
             points: Sequence[OperatingPoint]) -> DtaBatch:
@@ -74,12 +63,6 @@ class FPU:
         telemetry.count("fpu.dta.vectors", int(a.size))
         telemetry.observe("fpu.dta.batch_size", int(a.size))
         return DtaBatch(op=op, golden=golden, masks=masks)
-
-    def nominal_is_clean(self, op: FpOp, a: np.ndarray,
-                         b: Optional[np.ndarray] = None) -> bool:
-        """Design invariant: no timing errors at the nominal point."""
-        batch = self.dta(op, a, b, [NOMINAL])
-        return batch.error_ratio(NOMINAL.name) == 0.0
 
     def operating_point(self, reduction: float) -> OperatingPoint:
         """Operating point for a fractional voltage reduction."""

@@ -8,7 +8,7 @@ worse:
 - **Spans** — ``with telemetry.span("errors.wa"):`` times a block;
   spans nest, and the full open-span path rides on every record.
   ``@telemetry.timed("name")`` is the decorator form.
-- **Counters / distributions** — ``telemetry.count("eventsim.events", n)``
+- **Counters / distributions** — ``telemetry.count("bitsim.gate_evals", n)``
   and ``telemetry.observe("campaign.run_ms", ms)`` aggregate monotonic
   totals and count/total/min/max stats.
 - **Sinks** — an in-memory aggregator (the collector itself), an

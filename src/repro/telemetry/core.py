@@ -184,10 +184,6 @@ class Collector:
         """Attach a sink with an ``on_span(record)`` method."""
         self._sinks.append(sink)
 
-    @property
-    def sinks(self) -> List[Any]:
-        return list(self._sinks)
-
     def detach_sinks(self) -> List[Any]:
         """Remove and return every sink without closing it.
 

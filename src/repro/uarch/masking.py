@@ -69,6 +69,3 @@ class MaskingProfile:
             return False, None
         return True, (WRONG_PATH if r < self.wrong_path_rate else DEAD_WRITE)
 
-    def is_masked(self, victim: Victim, rng: RngStream) -> bool:
-        """Boolean form of :meth:`resolve` (one RNG draw either way)."""
-        return self.resolve(victim, rng)[0]

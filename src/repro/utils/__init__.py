@@ -1,14 +1,7 @@
 """Shared low-level utilities: bit manipulation, IEEE-754 helpers, RNG, statistics."""
 
-from repro.utils.bitops import (
-    bit_length64,
-    count_ones,
-    extract_field,
-    longest_carry_chain,
-    popcount64,
-    set_bits,
-)
-from repro.utils.rng import RngStream, spawn_streams
+from repro.utils.bitops import bit_length64, count_ones
+from repro.utils.rng import RngStream
 from repro.utils.stats import (
     confidence_sample_size,
     geometric_mean,
@@ -18,12 +11,7 @@ from repro.utils.stats import (
 __all__ = [
     "bit_length64",
     "count_ones",
-    "extract_field",
-    "longest_carry_chain",
-    "popcount64",
-    "set_bits",
     "RngStream",
-    "spawn_streams",
     "confidence_sample_size",
     "geometric_mean",
     "ratio_divergence",

@@ -101,24 +101,6 @@ def floats_to_bits64(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64).copy()
 
 
-def bits64_to_floats(bits: np.ndarray) -> np.ndarray:
-    """Vectorised float64 view of a uint64 bit-pattern array (copy)."""
-    return np.asarray(bits, dtype=np.uint64).view(np.float64).copy()
-
-
 def floats_to_bits32(values: np.ndarray) -> np.ndarray:
     """Vectorised raw-bit view of values rounded to float32 (copy)."""
     return np.asarray(values, dtype=np.float32).view(np.uint32).copy()
-
-
-def bits32_to_floats(bits: np.ndarray) -> np.ndarray:
-    """Vectorised float32 view of a uint32 bit-pattern array (copy)."""
-    return np.asarray(bits, dtype=np.uint32).view(np.float32).copy()
-
-
-def is_nan_bits(bits: np.ndarray, fmt: FloatFormat = DOUBLE) -> np.ndarray:
-    """Vectorised NaN test on raw bit patterns."""
-    bits = np.asarray(bits, dtype=np.uint64)
-    exp_mask = np.uint64(fmt.exponent_max) << np.uint64(fmt.exponent_lo)
-    man_mask = np.uint64((1 << fmt.mantissa_bits) - 1)
-    return ((bits & exp_mask) == exp_mask) & ((bits & man_mask) != 0)

@@ -9,7 +9,6 @@ campaign re-run with the same seed reproduces every outcome bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable
 
 import numpy as np
 
@@ -57,7 +56,3 @@ class RngStream:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStream(root_seed={self.root_seed}, name={self.name!r})"
 
-
-def spawn_streams(root_seed: int, names: Iterable[str]) -> Dict[str, RngStream]:
-    """Create a dict of independent named streams from one root seed."""
-    return {name: RngStream(root_seed, name) for name in names}

@@ -35,6 +35,8 @@ from repro.artifacts import (
     object_address,
 )
 
+from tests.conftest import memory_store
+
 #: Key segments: anything printable-ish, including characters that need
 #: percent-encoding, leading dots, and unicode.
 SEGMENT = st.text(
@@ -62,7 +64,7 @@ class TestRoundTrip:
     @given(key=KEY, payload=PAYLOAD)
     @settings(max_examples=50, deadline=None)
     def test_memory_put_get_round_trip(self, key, payload):
-        store = ArtifactStore.in_memory()
+        store = memory_store()
         address = store.put("ns", key, payload)
         assert store.get("ns", key) == payload
         assert store.get_object(address) == payload
@@ -84,7 +86,7 @@ class TestRoundTrip:
     def test_namespaces_never_alias(self, key, payload):
         """The no-aliasing acceptance criterion: one key, two
         namespaces, two independent values."""
-        store = ArtifactStore.in_memory()
+        store = memory_store()
         store.put("model-cache", key, payload)
         store.put("pages", key, payload + b"x")
         assert store.get("model-cache", key) == payload
@@ -95,7 +97,7 @@ class TestKeyDeterminism:
     @given(payload=PAYLOAD)
     @settings(max_examples=50, deadline=None)
     def test_address_is_pure_function_of_content(self, payload):
-        store = ArtifactStore.in_memory()
+        store = memory_store()
         first = store.put_object(payload)
         second = store.put_object(payload)
         assert first == second == object_address(payload)

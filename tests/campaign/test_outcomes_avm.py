@@ -5,7 +5,6 @@ import pytest
 
 from repro.campaign.avm import (
     EnergyAnalysis,
-    application_vulnerability,
     avm_divergence,
     error_ratio_divergence,
 )
@@ -46,7 +45,6 @@ class TestOutcomeCounts:
         """AVM = (#SDC + #Crash + #Timeout) / total."""
         counts = _counts(masked=60, sdc=25, crash=10, timeout=5)
         assert counts.avm == pytest.approx(0.40)
-        assert application_vulnerability(counts) == counts.avm
 
     def test_avm_empty_is_zero(self):
         assert OutcomeCounts().avm == 0.0

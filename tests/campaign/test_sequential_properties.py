@@ -31,7 +31,6 @@ from repro.campaign.adaptive import (
     StopDecision,
     anytime_wilson_ci,
     look_schedule,
-    weighted_estimates,
 )
 from repro.utils.stats import wilson_interval
 
@@ -265,19 +264,6 @@ class TestImportanceProperties:
     def test_rejects_models_without_trace_faults(self, ia_model):
         with pytest.raises(TypeError):
             ImportanceModel(ia_model)
-
-    def test_weighted_estimates_collapse_for_uniform_weights(self):
-        records = [FakeRecord(i % 3 == 0) for i in range(12)]
-        est = weighted_estimates(records)
-        plain = sum(1 for r in records if r.outcome != "Masked") / 12
-        assert est["avm_ht"] == pytest.approx(plain)
-        assert est["avm_sn"] == pytest.approx(plain)
-        assert est["weight_sum"] == pytest.approx(12.0)
-
-    def test_weighted_estimates_empty(self):
-        est = weighted_estimates([])
-        assert est == {"runs": 0, "weight_sum": 0.0, "avm_ht": 0.0,
-                       "avm_sn": 0.0}
 
 
 class TestCoverage:

@@ -94,12 +94,12 @@ class TestStoreBitrotDetection:
         with pytest.raises(Exception):
             # Either the flipped bit broke the JSON, or — the insidious
             # case — it still parses and the checksum catches it.
-            store.load_da(path)
+            store.load_any(path)
 
     def test_fault_free_round_trip_checksum_ok(self, tmp_path):
         model = DaModel({"VR15": 1e-3}, injection_window=64)
         path = store.save_da(model, tmp_path / "da.json")
-        assert store.load_da(path).fixed_error_ratios == {"VR15": 1e-3}
+        assert store.load_any(path).fixed_error_ratios == {"VR15": 1e-3}
 
 
 class TestModelCacheQuarantine:
@@ -179,7 +179,7 @@ class TestInstallUninstall:
     def test_install_from_env(self, tmp_path):
         plan = FaultPlan(seed=4, worker_kill_rate=0.1)
         environ = {
-            chaos.ENV_PLAN: plan.to_json(),
+            chaos.ENV_PLAN: json.dumps(plan.to_dict(), sort_keys=True),
             chaos.ENV_INCARNATION: "2",
             chaos.ENV_STATS: str(tmp_path / "stats.jsonl"),
         }

@@ -1,5 +1,7 @@
 """Tests of the seeded fault plan: pure, deterministic, serializable."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,7 +110,7 @@ class TestValidation:
 class TestSerialization:
     def test_json_round_trip(self):
         plan = _plan()
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict(), sort_keys=True))) == plan
 
     def test_defaults_survive_sparse_dict(self):
         plan = FaultPlan.from_dict({"seed": 9})
@@ -141,7 +143,7 @@ def test_worker_kills_always_within_bounds(seed, rate, max_kills, index):
 def test_any_valid_plan_round_trips(seed, kill_rate, coord, fs):
     plan = FaultPlan(seed=seed, worker_kill_rate=kill_rate,
                      coordinator_kills=tuple(coord), fs_rates=fs)
-    assert FaultPlan.from_json(plan.to_json()) == plan
+    assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict(), sort_keys=True))) == plan
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),

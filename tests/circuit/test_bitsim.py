@@ -1,5 +1,7 @@
 """Cross-backend differential suite: event reference vs bit-parallel DTA.
 
+The event engine lives in ``tests/circuit/event_reference.py``.
+
 The bit-parallel engine's contract (DESIGN.md section 12) is *verdict
 bit-identity*: on any packed vector batch, ``golden`` / ``sampled`` /
 ``bitmask`` — and hence every fault verdict — must equal the
@@ -13,13 +15,6 @@ reference's, never greater.
 import numpy as np
 import pytest
 
-from repro.circuit.backend import (
-    TimingBackend,
-    make_timing_backend,
-    pack_input_words,
-    stream_words,
-    unpack_input_words,
-)
 from repro.circuit.bitsim import (
     BitParallelSimulator,
     BitParallelTimingAnalysis,
@@ -30,13 +25,21 @@ from repro.circuit.builder import (
     build_lzc,
     build_multiplier,
     build_shifter,
-    bus_values,
 )
 from repro.circuit.cells import LIBRARY, Cell
-from repro.circuit.dta import DynamicTimingAnalysis
 from repro.circuit.sta import StaticTimingAnalysis
 from repro.errors.characterize import random_vector_words
 from repro.utils.rng import RngStream
+
+from tests.circuit.event_reference import (
+    DynamicTimingAnalysis,
+    bus_values,
+    outcome,
+    outcomes,
+    pack_input_words,
+    stream_words,
+    unpack_input_words,
+)
 
 try:
     from hypothesis import given, settings
@@ -109,14 +112,14 @@ class TestDifferential:
         event_dta, fast_dta = _engines(netlist, 1.6, 1.0)
         prev, cur = _random_stream(netlist, lanes=16, seed=23)
         fast = fast_dta.analyze_batch(prev, cur, count=16)
-        for lane, outcome in enumerate(fast.outcomes()):
-            reference = event_dta.analyze_batch(
+        for lane, got in enumerate(outcomes(fast)):
+            reference = outcome(event_dta.analyze_batch(
                 [(w >> lane) & 1 for w in prev],
-                [(w >> lane) & 1 for w in cur], count=1).outcome(0)
-            assert outcome.golden == reference.golden
-            assert outcome.sampled == reference.sampled
-            assert outcome.bitmask == reference.bitmask
-            assert outcome.faulty == reference.faulty
+                [(w >> lane) & 1 for w in cur], count=1), 0)
+            assert got.golden == reference.golden
+            assert got.sampled == reference.sampled
+            assert got.bitmask == reference.bitmask
+            assert got.faulty == reference.faulty
 
 
 if HAVE_HYPOTHESIS:
@@ -184,10 +187,11 @@ class TestSimulatorInvariants:
         """Golden words equal the netlist's functional output, per lane."""
         sim = BitParallelSimulator(netlist)
         prev, cur = _random_stream(netlist, lanes=32, seed=41)
-        golden_words = sim.settle_output_words(cur, 32)
+        golden_words = sim.simulate_batch(prev, cur, 32,
+                                          sample_at=0.0).final_words
         vectors = unpack_input_words(netlist, cur, 32)
         for lane in range(32):
-            expected = netlist.evaluate_outputs(vectors[lane])
+            expected = netlist.evaluate(vectors[lane])
             for out_pos, net in enumerate(netlist.outputs):
                 assert (golden_words[out_pos] >> lane) & 1 == expected[net]
 
@@ -232,18 +236,3 @@ class TestCompiledCells:
         a, b, c = 0b10110010, 0b01110100, 0b11011000
         assert fn(mask, a, b, c) == (a ^ b ^ c) & mask
 
-
-class TestBackendSelection:
-    def test_factory_builds_both_engines(self, netlist):
-        for name, cls in (("event", DynamicTimingAnalysis),
-                          ("bitparallel", BitParallelTimingAnalysis)):
-            engine = make_timing_backend(name, netlist, clock_ps=500.0,
-                                         delay_factor=1.3)
-            assert isinstance(engine, cls)
-            assert isinstance(engine, TimingBackend)
-            assert engine.name == name
-
-    def test_unknown_backend_rejected(self, netlist):
-        with pytest.raises(ValueError, match="timing backend"):
-            make_timing_backend("gpu", netlist, clock_ps=500.0,
-                                delay_factor=1.3)

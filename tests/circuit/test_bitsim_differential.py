@@ -221,7 +221,8 @@ class TestAgainstFrozenEngine:
         result = sim.simulate_batch(prev, cur, count,
                                     sample_at=critical * clock_scale,
                                     lane_mode=lane_mode)
-        assert result.final_words == sim.settle_output_words(cur, count)
+        reference = _ReferenceSimulator(netlist, factor)
+        assert result.final_words == reference.settle_output_words(cur, count)
         assert result.worst_settle_ps.shape == (count,)
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))

@@ -12,8 +12,9 @@ from repro.circuit.builder import (
     build_lzc,
     build_multiplier,
     build_shifter,
-    bus_values,
 )
+
+from tests.circuit.event_reference import bus_values
 
 
 def _read_bus(netlist, values, nets):

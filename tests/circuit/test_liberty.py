@@ -59,9 +59,6 @@ class TestOperatingPoints:
         assert VR20.name == "VR20"
         assert set(OPERATING_POINTS) == {"NOM", "VR15", "VR20"}
 
-    def test_reduction_from(self):
-        assert VR15.reduction_from(1.1) == pytest.approx(0.15)
-
     def test_operating_point_factory_names(self):
         point = TECHNOLOGY.operating_point(0.10)
         assert point.name == "VR10"
@@ -70,12 +67,6 @@ class TestOperatingPoints:
     def test_operating_point_rejects_subthreshold(self):
         with pytest.raises(ValueError):
             TECHNOLOGY.operating_point(0.70)
-
-    def test_reduction_bounds(self):
-        with pytest.raises(ValueError):
-            TECHNOLOGY.delay_factor_for_reduction(-0.1)
-        with pytest.raises(ValueError):
-            TECHNOLOGY.delay_factor_for_reduction(1.0)
 
     def test_delay_factor_helper(self):
         assert delay_factor(VR15) == pytest.approx(

@@ -84,7 +84,7 @@ class TestTopologyAndEvaluation:
         netlist = _half_adder_netlist()
         for a in (0, 1):
             for b in (0, 1):
-                out = netlist.evaluate_outputs({"a": a, "b": b})
+                out = netlist.evaluate({"a": a, "b": b})
                 assert out["sum"] == a ^ b
                 assert out["carry"] == a & b
 
@@ -95,7 +95,7 @@ class TestTopologyAndEvaluation:
 
     def test_values_masked_to_one_bit(self):
         netlist = _half_adder_netlist()
-        out = netlist.evaluate_outputs({"a": 3, "b": 1})
+        out = netlist.evaluate({"a": 3, "b": 1})
         assert out["sum"] == 0 and out["carry"] == 1
 
     def test_tie_cells_evaluate_without_inputs(self):
@@ -103,7 +103,7 @@ class TestTopologyAndEvaluation:
         netlist.add_gate("TIE1", [], "one")
         netlist.add_gate("INV", ["one"], "zero")
         netlist.mark_outputs(["zero"])
-        assert netlist.evaluate_outputs({}) == {"zero": 0}
+        assert netlist.evaluate({})["zero"] == 0
 
     def test_fanout_map(self):
         netlist = _half_adder_netlist()

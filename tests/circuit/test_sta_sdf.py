@@ -60,14 +60,6 @@ class TestArrivalTimes:
         expected = 2 * LIBRARY["XOR2"].delay_ps + LIBRARY["AND2"].delay_ps
         assert sta.critical_delay() == pytest.approx(expected)
 
-    def test_slack_per_output(self):
-        netlist = _chain_netlist(2)
-        sta = StaticTimingAnalysis(netlist)
-        slack = sta.slack_per_output(100.0)
-        assert slack[netlist.outputs[0]] == pytest.approx(
-            100.0 - 2 * LIBRARY["INV"].delay_ps
-        )
-
 
 class TestPathEnumeration:
     def test_longest_paths_sorted_and_counted(self):

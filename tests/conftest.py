@@ -5,6 +5,7 @@ expensive, so the suite builds them once per session at 'tiny' scale.
 """
 
 import os
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dep
     pass
 
+from repro.artifacts import ArtifactStore
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import NOMINAL, VR15, VR20
 from repro.errors import characterize_da, characterize_ia, characterize_wa
 from repro.fpu.unit import FPU
+from repro.utils import durable
 from repro.workloads import WORKLOADS, make_workload
 
 POINTS = [VR15, VR20]
@@ -74,3 +77,40 @@ def wa_models(fpu, tiny_profiles):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+class MemoryBackend:
+    """Dict-backed artifact backend speaking the ``Backend`` verbs."""
+
+    def __init__(self):
+        self._blobs: Dict[str, bytes] = {}
+
+    def get(self, key: str) -> Optional[bytes]:
+        return self._blobs.get(key)
+
+    def put(self, key: str, data: bytes, target: str = "artifact") -> None:
+        # The fault hook applies even in memory so chaos plans can
+        # target artifact writes regardless of backend.
+        written, failure = durable.get_fault_hook().filter_write(
+            target, key, data)
+        self._blobs[key] = bytes(written)
+        if failure is not None:
+            raise failure
+
+    def delete(self, key: str) -> bool:
+        return self._blobs.pop(key, None) is not None
+
+    def rename(self, key: str, new_key: str) -> bool:
+        blob = self._blobs.pop(key, None)
+        if blob is None:
+            return False
+        self._blobs[new_key] = blob
+        return True
+
+    def list_keys(self, prefix: str = "") -> Iterator[str]:
+        return iter(sorted(k for k in self._blobs if k.startswith(prefix)))
+
+
+def memory_store() -> ArtifactStore:
+    """A fresh artifact store over a :class:`MemoryBackend`."""
+    return ArtifactStore(MemoryBackend())

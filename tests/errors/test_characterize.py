@@ -13,8 +13,11 @@ from repro.errors import (
     random_operands,
     random_vector_words,
 )
+from repro.errors import characterize as characterize_module
 from repro.fpu.formats import ALL_OPS, FpOp
 from repro.utils.rng import RngStream
+
+from tests.circuit.event_reference import DynamicTimingAnalysis
 
 
 class TestRandomOperands:
@@ -159,32 +162,31 @@ class TestCharacterizeGate:
     def clock(self, adder):
         return StaticTimingAnalysis(adder).critical_delay() * 0.8
 
-    def test_backends_agree_exactly(self, adder, clock):
+    def test_backends_agree_exactly(self, adder, clock, monkeypatch):
         kwargs = dict(clock_ps=clock, delay_factor=1.3, samples=384,
                       seed=13, lanes=100)
-        event = characterize_gate(adder, backend="event", **kwargs)
-        fast = characterize_gate(adder, backend="bitparallel", **kwargs)
+        fast = characterize_gate(adder, **kwargs)
+        # The same stream, chunking and reduction, with the event
+        # reference standing in for the bit-parallel engine.
+        monkeypatch.setattr(characterize_module, "BitParallelTimingAnalysis",
+                            DynamicTimingAnalysis)
+        event = characterize_gate(adder, **kwargs)
         assert event.faulty == fast.faulty
         assert np.array_equal(event.bit_counts, fast.bit_counts)
         assert fast.worst_settle_ps <= event.worst_settle_ps + 1e-9
-        assert event.backend == "event"
-        assert fast.backend == "bitparallel"
         assert event.error_ratio == event.faulty / event.analysed
 
     def test_deterministic_in_seed(self, adder, clock):
         first = characterize_gate(adder, clock_ps=clock, delay_factor=1.4,
-                                  samples=256, seed=5,
-                                  backend="bitparallel")
+                                  samples=256, seed=5)
         second = characterize_gate(adder, clock_ps=clock, delay_factor=1.4,
-                                   samples=256, seed=5,
-                                   backend="bitparallel")
+                                   samples=256, seed=5)
         assert first.faulty == second.faulty
         assert np.array_equal(first.bit_counts, second.bit_counts)
 
     def test_lane_chunking_invariant(self, adder, clock):
         """Any lane-chunk geometry yields the identical statistics."""
-        kwargs = dict(clock_ps=clock, delay_factor=1.5, samples=300, seed=9,
-                      backend="bitparallel")
+        kwargs = dict(clock_ps=clock, delay_factor=1.5, samples=300, seed=9)
         results = [characterize_gate(adder, lanes=lanes, **kwargs)
                    for lanes in (37, 64, 300, AUTO_NUMPY_LANES)]
         results.append(characterize_gate(adder, **kwargs))
@@ -206,3 +208,6 @@ class TestCharacterizeGate:
         with pytest.raises(ValueError):
             characterize_gate(adder, clock_ps=clock, delay_factor=1.3,
                               samples=8, lanes=0)
+        with pytest.raises(ValueError, match="timing backend"):
+            characterize_gate(adder, clock_ps=clock, delay_factor=1.3,
+                              samples=8, backend="event")

@@ -389,7 +389,7 @@ class TestModelCache:
             "quarantined": 1, "store_errors": 0}
         assert_wa_equal(again, first)
         # The corrupt entry was rewritten atomically and now loads.
-        assert store.load_wa(path).workload == profile.name
+        assert store.load_any(path).workload == profile.name
 
     def test_stale_format_version_recomputed(self, fpu, tiny_profiles,
                                              tmp_path):

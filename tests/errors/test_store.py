@@ -15,7 +15,7 @@ class TestDaRoundtrip:
     def test_roundtrip(self, tmp_path):
         model = DaModel({"VR15": 1e-3, "VR20": 1e-2}, injection_window=512)
         path = store.save_da(model, tmp_path / "da.json")
-        loaded = store.load_da(path)
+        loaded = store.load_any(path)
         assert loaded.fixed_error_ratios == model.fixed_error_ratios
         assert loaded.injection_window == 512
 
@@ -31,7 +31,7 @@ class TestDaRoundtrip:
 class TestIaRoundtrip:
     def test_roundtrip(self, tmp_path, ia_model):
         path = store.save_ia(ia_model, tmp_path / "ia.json")
-        loaded = store.load_ia(path)
+        loaded = store.load_any(path)
         for point in ("VR15", "VR20"):
             for op, stats in ia_model.stats[point].items():
                 back = loaded.stats[point][op]
@@ -43,7 +43,7 @@ class TestIaRoundtrip:
         from repro.utils.rng import RngStream
 
         path = store.save_ia(ia_model, tmp_path / "ia.json")
-        loaded = store.load_ia(path)
+        loaded = store.load_any(path)
         profile = tiny_profiles["srad_v1"]
         p1 = ia_model.plan(profile, VR20, RngStream(5, "r"))
         p2 = loaded.plan(profile, VR20, RngStream(5, "r"))
@@ -54,7 +54,7 @@ class TestWaRoundtrip:
     def test_roundtrip(self, tmp_path, wa_models):
         model = wa_models["srad_v1"]
         path = store.save_wa(model, tmp_path / "wa.json")
-        loaded = store.load_wa(path)
+        loaded = store.load_any(path)
         assert loaded.workload == model.workload
         for point in ("VR15", "VR20"):
             for op, faults in model.faults[point].items():
@@ -74,14 +74,14 @@ class TestLoadAny:
     def test_kind_mismatch_rejected(self, tmp_path):
         path = store.save_da(DaModel({"VR15": 1e-3}), tmp_path / "a.json")
         with pytest.raises(ValueError, match="expected 'WA'"):
-            store.load_wa(path)
+            store.loads_model(path.read_bytes(), "WA")
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99, "model": "DA",
                                     "payload": {}}))
         with pytest.raises(ValueError, match="format version"):
-            store.load_da(path)
+            store.load_any(path)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"
@@ -100,7 +100,7 @@ class TestProvenance:
                         "injection_window": 1000},
         }))
         with pytest.raises(ValueError, match="supported: 3"):
-            store.load_da(path)
+            store.load_any(path)
 
     def test_characterized_models_carry_provenance(self, tmp_path,
                                                    tiny_profiles):
@@ -144,4 +144,4 @@ class TestProvenance:
         path.write_text(json.dumps({"format_version": 99, "model": "DA",
                                     "payload": {}}))
         with pytest.raises(ValueError, match="supported: 3"):
-            store.load_da(path)
+            store.load_any(path)

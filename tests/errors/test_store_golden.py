@@ -28,7 +28,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestGoldenArtifacts:
     def test_da_v3_round_trips(self, tmp_path):
-        model = store.load_da(FIXTURES / "da_v3.json")
+        model = store.load_any(FIXTURES / "da_v3.json")
         assert model.fixed_error_ratios == {"VR15": 0.001, "VR20": 0.0125}
         assert model.injection_window == 512
         assert model.provenance.benchmark == "is+mg"
@@ -41,7 +41,7 @@ class TestGoldenArtifacts:
         assert saved.read_text() == (FIXTURES / "da_v3.json").read_text()
 
     def test_ia_v3_round_trips(self, tmp_path):
-        model = store.load_ia(FIXTURES / "ia_v3.json")
+        model = store.load_any(FIXTURES / "ia_v3.json")
         st20 = model.stats["VR20"][FpOp.ADD_S]
         assert st20.error_ratio == 0.25
         assert st20.sample_size == 64
@@ -53,7 +53,7 @@ class TestGoldenArtifacts:
         assert saved.read_text() == (FIXTURES / "ia_v3.json").read_text()
 
     def test_wa_v3_round_trips(self, tmp_path):
-        model = store.load_wa(FIXTURES / "wa_v3.json")
+        model = store.load_any(FIXTURES / "wa_v3.json")
         assert model.workload == "toy"
         assert model.burst_window == 8
         assert model.faults["VR15"] == {}
@@ -70,7 +70,7 @@ class TestGoldenArtifacts:
         with pytest.raises(ValueError,
                            match=r"format version 1 \(supported: 3\); "
                                  r"re-run `repro characterize`"):
-            store.load_da(FIXTURES / "da_v1.json")
+            store.load_any(FIXTURES / "da_v1.json")
 
     @pytest.mark.parametrize("name", ["da_v2.json", "ia_v2.json",
                                       "wa_v2.json"])
@@ -111,11 +111,11 @@ class TestGoldenArtifacts:
         path = tmp_path / "future.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="unsupported artifact format"):
-            store.load_da(path)
+            store.load_any(path)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected 'IA'"):
-            store.load_ia(FIXTURES / "da_v3.json")
+            store.loads_model((FIXTURES / "da_v3.json").read_bytes(), "IA")
 
     def test_load_any_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"

@@ -5,8 +5,6 @@ import pytest
 
 from repro.fpu import ops, softfloat
 from repro.fpu.formats import ALL_OPS, FpOp
-from repro.utils import ieee754
-from repro.utils.ieee754 import is_nan_bits
 
 
 def _random_patterns(rng, op, n=300):
@@ -78,12 +76,12 @@ class TestValueEncoding:
     def test_values_to_bits_roundtrip_double(self, rng):
         values = rng.normal(size=100)
         bits = ops.values_to_bits(FpOp.ADD_D, values)
-        assert np.array_equal(ieee754.bits64_to_floats(bits), values)
+        assert np.array_equal(bits.view(np.float64), values)
 
     def test_values_to_bits_single_rounds(self):
         bits = ops.values_to_bits(FpOp.ADD_S, np.array([1.0 + 2**-30]))
-        assert ieee754.bits32_to_floats(bits.astype(np.uint32))[0] == 1.0
+        assert bits.astype(np.uint32).view(np.float32)[0] == 1.0
 
     def test_nan_detection_roundtrip(self):
         bits = ops.values_to_bits(FpOp.MUL_D, np.array([float("nan"), 1.0]))
-        assert list(is_nan_bits(bits)) == [True, False]
+        assert list(np.isnan(bits.view(np.float64))) == [True, False]

@@ -38,22 +38,22 @@ class TestMaskingProfile:
     def test_deterministic_per_stream(self):
         profile = MaskingProfile(wrong_path_rate=0.5, dead_write_rate=0.0)
         victim = Victim(FpOp.MUL_D, 5, 1)
-        a = profile.is_masked(victim, RngStream(1, "x"))
-        b = profile.is_masked(victim, RngStream(1, "x"))
+        a = profile.resolve(victim, RngStream(1, "x"))[0]
+        b = profile.resolve(victim, RngStream(1, "x"))[0]
         assert a == b
 
     def test_zero_rates_never_mask(self):
         profile = MaskingProfile(0.0, 0.0)
         victim = Victim(FpOp.MUL_D, 5, 1)
         assert not any(
-            profile.is_masked(victim, RngStream(i, "x")) for i in range(50)
+            profile.resolve(victim, RngStream(i, "x"))[0] for i in range(50)
         )
 
     def test_full_rate_always_masks(self):
         profile = MaskingProfile(1.0, 0.0)
         victim = Victim(FpOp.MUL_D, 5, 1)
         assert all(
-            profile.is_masked(victim, RngStream(i, "x")) for i in range(20)
+            profile.resolve(victim, RngStream(i, "x"))[0] for i in range(20)
         )
 
 

@@ -1,40 +1,39 @@
-"""Unit and property tests for the bit-manipulation primitives."""
+"""Unit and property tests for the bit-manipulation primitives and the
+carry-chain oracle."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils import bitops
 
-from tests.utils.scalar_oracles import from_bits
+from tests.utils.scalar_oracles import longest_carry_chain
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
 class TestPopcount:
     def test_zero(self):
-        assert bitops.popcount64(0) == 0
+        assert bitops.count_ones(np.array([0], dtype=np.uint64))[0] == 0
 
     def test_all_ones(self):
-        assert bitops.popcount64((1 << 64) - 1) == 64
+        ones = np.array([(1 << 64) - 1], dtype=np.uint64)
+        assert bitops.count_ones(ones)[0] == 64
 
     def test_single_bits(self):
-        for bit in range(64):
-            assert bitops.popcount64(1 << bit) == 1
-
-    def test_truncates_above_64_bits(self):
-        assert bitops.popcount64(1 << 64) == 0
+        values = np.array([1 << bit for bit in range(64)], dtype=np.uint64)
+        assert list(bitops.count_ones(values)) == [1] * 64
 
     @given(U64)
     def test_matches_bin_count(self, value):
-        assert bitops.popcount64(value) == bin(value).count("1")
+        counts = bitops.count_ones(np.array([value], dtype=np.uint64))
+        assert counts[0] == bin(value).count("1")
 
     def test_vectorised_matches_scalar(self, rng):
         values = rng.integers(0, 1 << 64, size=500, dtype=np.uint64)
         counts = bitops.count_ones(values)
         for value, count in zip(values, counts):
-            assert count == bitops.popcount64(int(value))
+            assert count == bin(int(value)).count("1")
 
 
 class TestBitLength:
@@ -50,32 +49,6 @@ class TestBitLength:
     def test_powers_of_two(self):
         values = np.array([1 << k for k in range(64)], dtype=np.uint64)
         assert list(bitops.bit_length64(values)) == list(range(1, 65))
-
-
-class TestFields:
-    def test_extract_field(self):
-        assert bitops.extract_field(0b1011_0110, 2, 4) == 0b1101
-
-    def test_extract_zero_width(self):
-        assert bitops.extract_field(0xFFFF, 3, 0) == 0
-
-    def test_extract_negative_raises(self):
-        with pytest.raises(ValueError):
-            bitops.extract_field(1, -1, 2)
-
-    def test_set_bits_roundtrip(self):
-        value = bitops.set_bits(0, 8, 8, 0xAB)
-        assert bitops.extract_field(value, 8, 8) == 0xAB
-
-    def test_set_bits_masks_field(self):
-        assert bitops.set_bits(0, 0, 4, 0x1F) == 0xF
-
-    @given(U64, st.integers(0, 56), st.integers(1, 8), U64)
-    def test_set_then_extract(self, value, lo, width, field):
-        updated = bitops.set_bits(value, lo, width, field)
-        assert bitops.extract_field(updated, lo, width) == (
-            field & ((1 << width) - 1)
-        )
 
 
 def _reference_longest_chain(a: int, b: int, width: int) -> int:
@@ -98,19 +71,14 @@ class TestCarryChains:
     @given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
     @settings(max_examples=200)
     def test_scalar_matches_oracle(self, a, b):
-        assert bitops.longest_carry_chain(a, b, 16) == (
+        assert longest_carry_chain(a, b, 16) == (
             _reference_longest_chain(a, b, 16)
         )
 
     def test_no_generate_no_chain(self):
-        assert bitops.longest_carry_chain(0b1010, 0b0101, 4) == 0
+        assert longest_carry_chain(0b1010, 0b0101, 4) == 0
 
     def test_full_propagate_chain(self):
         # 0b0001 + 0b1111: carry generated at bit 0 ripples to the top.
-        assert bitops.longest_carry_chain(0b0001, 0b1111, 4) == 4
+        assert longest_carry_chain(0b0001, 0b1111, 4) == 4
 
-
-class TestBitLists:
-    @given(U64)
-    def test_bits_roundtrip(self, value):
-        assert from_bits(bitops.bits_of(value, 64)) == value

@@ -70,7 +70,7 @@ class TestVectorConversions:
     def test_floats_bits_roundtrip(self, rng):
         values = rng.normal(size=1000)
         bits = ieee754.floats_to_bits64(values)
-        assert np.array_equal(ieee754.bits64_to_floats(bits), values)
+        assert np.array_equal(bits.view(np.float64), values)
 
     def test_vector_matches_scalar(self, rng):
         values = rng.normal(size=100)
@@ -81,12 +81,4 @@ class TestVectorConversions:
     def test_single_vector_roundtrip(self, rng):
         values = rng.normal(size=100).astype(np.float32)
         bits = ieee754.floats_to_bits32(values)
-        assert np.array_equal(ieee754.bits32_to_floats(bits), values)
-
-    def test_is_nan_bits(self):
-        bits = np.array([
-            ieee754.float_to_bits64(float("nan")),
-            ieee754.float_to_bits64(float("inf")),
-            ieee754.float_to_bits64(1.0),
-        ], dtype=np.uint64)
-        assert list(ieee754.is_nan_bits(bits)) == [True, False, False]
+        assert np.array_equal(bits.view(np.float32), values)

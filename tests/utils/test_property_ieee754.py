@@ -7,6 +7,8 @@ must agree with the struct-based scalar ones bit-for-bit — including at
 the special encodings (subnormals, infinities, NaN payloads).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,13 +17,10 @@ from hypothesis import strategies as st
 from repro.utils.ieee754 import (
     DOUBLE,
     SINGLE,
-    bits32_to_floats,
     bits64_to_float,
-    bits64_to_floats,
     float_to_bits64,
     floats_to_bits32,
     floats_to_bits64,
-    is_nan_bits,
 )
 
 from tests.utils.scalar_oracles import bits32_to_float, float_to_bits32
@@ -80,10 +79,10 @@ def test_double_round_trip_is_bit_exact(value):
 def test_bits64_round_trip_outside_nan_space(bits):
     """Every non-NaN pattern survives bits -> float -> bits exactly."""
     bits &= DOUBLE.mask
-    if is_nan_bits(np.array([bits], dtype=np.uint64), DOUBLE)[0]:
+    if math.isnan(bits64_to_float(bits)):
         # NaN payloads may be quieted by the FPU; only NaN-ness survives.
         back = float_to_bits64(bits64_to_float(bits))
-        assert is_nan_bits(np.array([back], dtype=np.uint64), DOUBLE)[0]
+        assert math.isnan(bits64_to_float(back))
     else:
         assert float_to_bits64(bits64_to_float(bits)) == bits
 
@@ -93,7 +92,7 @@ def test_vectorised_double_converters_match_scalar(values):
     array = np.array(values, dtype=np.float64)
     bits = floats_to_bits64(array)
     assert list(bits) == [float_to_bits64(float(v)) for v in array]
-    assert list(bits64_to_floats(bits)) == list(array)
+    assert list(bits.view(np.float64)) == list(array)
 
 
 @given(FLOAT32_LISTS)
@@ -101,18 +100,9 @@ def test_vectorised_single_converters_match_scalar(values):
     bits = floats_to_bits32(values)
     assert list(bits) == [float_to_bits32(float(v)) for v in values]
     rounded = np.array(values, dtype=np.float32)
-    assert list(bits32_to_floats(bits)) == list(rounded)
+    assert list(bits.view(np.float32)) == list(rounded)
     for pattern, value in zip(bits, rounded):
         assert bits32_to_float(int(pattern)) == float(value)
-
-
-@given(FMT, U64)
-def test_is_nan_bits_matches_field_definition(fmt, raw):
-    bits = raw & fmt.mask
-    _, exponent, mantissa = fmt.fields(bits)
-    expected = exponent == fmt.exponent_max and mantissa != 0
-    got = is_nan_bits(np.array([bits], dtype=np.uint64), fmt)
-    assert bool(got[0]) == expected
 
 
 class TestSpecialEncodings:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import RngStream, spawn_streams
+from repro.utils.rng import RngStream
 
 
 class TestDeterminism:
@@ -56,8 +56,3 @@ class TestApi:
         arr = np.array(values)
         RngStream(1, "s").shuffle(arr)
         assert sorted(arr.tolist()) == values
-
-    def test_spawn_streams(self):
-        streams = spawn_streams(9, ["a", "b", "c"])
-        assert set(streams) == {"a", "b", "c"}
-        assert streams["a"].seed != streams["b"].seed
