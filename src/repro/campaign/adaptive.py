@@ -279,7 +279,7 @@ class AdaptiveCellStream:
         self.sampler = CellSampler(config, budget)
         self.budget = int(budget)
         self._prior = dict(prior or {})
-        self._buffer: Dict[int, Tuple[Any, Any]] = {}
+        self._buffer: Dict[int, Any] = {}
         self._abandoned: set = set()
         self._frontier = 0            # next index to consume in order
         self._next = 0                # next fresh index to reserve
@@ -290,7 +290,7 @@ class AdaptiveCellStream:
             1 for idx in self._prior if 0 <= idx < self.budget)
         for idx, record in self._prior.items():
             if 0 <= idx < self.budget:
-                self._buffer[idx] = (record, None)
+                self._buffer[idx] = record
         self._advance()
 
     @property
@@ -317,22 +317,21 @@ class AdaptiveCellStream:
             return idx
         return None
 
-    def deliver(self, run_index: int, record: Any,
-                meta: Any = None) -> List[Tuple[Any, Any]]:
+    def deliver(self, run_index: int, record: Any) -> List[Any]:
         """Accept one completed run; return records now safe to commit.
 
-        Returns ``(record, meta)`` pairs in run-index order — possibly
-        empty (arrival out of order), possibly several (a gap filled).
-        Results landing after the stop decision are dropped.
+        Returns records in run-index order — possibly empty (arrival out
+        of order), possibly several (a gap filled).  Results landing
+        after the stop decision are dropped.
         """
         self._outstanding.discard(run_index)
         if self.stopped or not 0 <= run_index < self.budget:
             self.discarded += 1
             return []
-        self._buffer[run_index] = (record, meta)
+        self._buffer[run_index] = record
         return self._advance()
 
-    def abandon(self, run_index: int) -> List[Tuple[Any, Any]]:
+    def abandon(self, run_index: int) -> List[Any]:
         """A run permanently failed: skip its index in the order.
 
         The frontier steps over the hole (the sampler never sees it), so
@@ -344,8 +343,8 @@ class AdaptiveCellStream:
         self._abandoned.add(run_index)
         return self._advance()
 
-    def _advance(self) -> List[Tuple[Any, Any]]:
-        released: List[Tuple[Any, Any]] = []
+    def _advance(self) -> List[Any]:
+        released: List[Any] = []
         while not self.stopped and self._frontier < self.budget:
             idx = self._frontier
             if idx in self._abandoned:
@@ -353,11 +352,11 @@ class AdaptiveCellStream:
                 continue
             if idx not in self._buffer:
                 break
-            record, meta = self._buffer.pop(idx)
+            record = self._buffer.pop(idx)
             self._frontier += 1
             self.consumed.append(idx)
             if idx not in self._prior:
-                released.append((record, meta))
+                released.append(record)
             outcome = getattr(record, "outcome", str(record))
             self.sampler.observe(outcome != "Masked")
         if self.stopped:

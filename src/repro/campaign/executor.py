@@ -51,10 +51,10 @@ from repro.campaign.runner import (
 )
 from repro.circuit.liberty import OperatingPoint
 from repro.errors.base import ErrorModel
+from repro.errors.store import model_digest
 from repro.uarch.injector import MicroArchInjector
 from repro.utils.stats import confidence_sample_size
 from repro import telemetry
-from repro.observe import flight
 from repro.observe.state import (
     CellBegun,
     CellEnded,
@@ -202,9 +202,9 @@ class _FixedStream:
     def reserve(self) -> Optional[int]:
         return self._pending.popleft() if self._pending else None
 
-    def deliver(self, run_index: int, record, meta=None):
+    def deliver(self, run_index: int, record):
         self.consumed.append(run_index)
-        return [(record, meta)]
+        return [record]
 
     def abandon(self, run_index: int):
         return []
@@ -235,7 +235,7 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
     # Fork safety: inherited file sinks share the parent's fd offset, so
     # a worker writing them would interleave with (and tear) the parent's
     # trace.  Detach and close the copies — only the parent writes files;
-    # worker telemetry and flight captures ride the result pipe instead.
+    # worker telemetry rides the result pipe instead.
     collector = telemetry.get_collector()
     if collector is not None:
         for sink in collector.detach_sinks():
@@ -248,10 +248,6 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
             # (bounded) so they ship with the next result message and
             # get stitched into the parent's trace file.
             collector.buffer_spans()
-    recorder = flight.get_recorder()
-    if recorder is not None:
-        recorder.sink = None
-        recorder.keep_in_memory = False
     try:
         golden = runner.golden()  # already cached pre-fork; cheap
         injector = MicroArchInjector(golden.schedule, golden.masking)
@@ -315,8 +311,6 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
                 "wall_ms": (time.monotonic() - start) * 1000.0,
                 "weight": execution.weight,
             }
-            if execution.flight is not None:
-                message["flight"] = execution.flight
             if execution.fastforward is not None:
                 message["fastforward"] = execution.fastforward
             if telemetry.enabled():
@@ -361,9 +355,6 @@ class CampaignExecutor:
             self.journal = None
 
     def close(self) -> None:
-        recorder = flight.get_recorder()
-        if recorder is not None:
-            recorder.flush()
         if self.monitor is not None:
             self.monitor.close()
         if self._owns_journal and self.journal is not None:
@@ -413,6 +404,12 @@ class CampaignExecutor:
 
         records: Dict[int, RunRecord] = {}
         if self.journal is not None:
+            if (workload, model.name) not in self.journal.models:
+                # What `repro explain` needs to replay this model's runs;
+                # a resumed journal keeps the line it already holds.
+                self.journal.record_model(
+                    workload, model.name, self.runner.workload.scale,
+                    model_digest(model), self.config.wall_clock_timeout)
             for idx, record in self.journal.completed_runs(
                     workload, model.name, point.name).items():
                 if 0 <= idx < runs:
@@ -511,9 +508,6 @@ class CampaignExecutor:
         )
         if self.journal is not None:
             self.journal.record_cell(result)
-        recorder = flight.get_recorder()
-        if recorder is not None:
-            recorder.flush()
         if self.monitor is not None:
             self.monitor.apply(CellEnded(result))
         return result
@@ -528,37 +522,6 @@ class CampaignExecutor:
     def _backoff(self, attempt: int) -> float:
         return min(self.config.backoff_cap,
                    self.config.backoff * (2.0 ** attempt))
-
-    def _journal_run(self, record: RunRecord) -> None:
-        if self.journal is not None:
-            self.journal.record_run(record)
-
-    def _commit_run(self, record: RunRecord, stats: CellStats,
-                    flight_payload: Optional[dict] = None) -> None:
-        """Everything that happens to one classified run, in order:
-        flight emission (parent side only), journal append, monitor tick.
-        """
-        if flight_payload is not None:
-            flight.emit_run(flight_payload, wall_ms=record.wall_ms,
-                            retries=record.retries)
-        self._journal_run(record)
-        if self.monitor is not None:
-            self.monitor.apply(RunClassified(record, stats))
-
-    def _flight_truncated(self, model: ErrorModel, point: OperatingPoint,
-                          record: RunRecord) -> None:
-        """Record a run whose worker died holding the victim chain."""
-        if not flight.enabled():
-            return
-        flight.emit_truncated(
-            self.runner.workload.name, model.name, point.name,
-            record.run_index, self.runner.seed,
-            run_key(self.runner.workload.name, model.name, point.name,
-                    record.run_index),
-            record.outcome, watchdog=record.watchdog,
-            unexpected=record.unexpected, wall_ms=record.wall_ms,
-            retries=record.retries,
-        )
 
     def _journal_error(self, model: ErrorModel, point: OperatingPoint,
                        run_index: int, attempt: int, error: str) -> None:
@@ -598,23 +561,16 @@ class CampaignExecutor:
             weight=float(getattr(execution, "weight", 1.0)),
         )
 
-    def _release_records(self, released, model: ErrorModel,
-                         point: OperatingPoint, stats: CellStats,
+    def _release_records(self, released, stats: CellStats,
                          out: Dict[int, RunRecord]) -> None:
-        """Commit records a stream released, in the stream's order.
-
-        ``meta`` distinguishes a run carrying a flight payload from one
-        whose worker died holding the victim chain (truncated flight).
-        """
-        for record, meta in released:
+        """Commit records a stream released, in the stream's order:
+        journal append, then monitor tick."""
+        for record in released:
             out[record.run_index] = record
-            flight_payload = None
-            if isinstance(meta, tuple):
-                if meta[0] == "flight":
-                    flight_payload = meta[1]
-                elif meta[0] == "truncated":
-                    self._flight_truncated(model, point, record)
-            self._commit_run(record, stats, flight_payload)
+            if self.journal is not None:
+                self.journal.record_run(record)
+            if self.monitor is not None:
+                self.monitor.apply(RunClassified(record, stats))
 
     # -- serial mode -------------------------------------------------------------
     def _run_serial(self, model: ErrorModel, point: OperatingPoint,
@@ -659,16 +615,14 @@ class CampaignExecutor:
                 break
             if record is None:
                 failed += 1
-                self._release_records(stream.abandon(run_index), model,
-                                      point, stats, out)
+                self._release_records(stream.abandon(run_index), stats,
+                                      out)
                 if failed > fail_budget:
                     stats.degraded = True
                     break
                 continue
-            self._release_records(
-                stream.deliver(run_index, record,
-                               ("flight", execution.flight)),
-                model, point, stats, out)
+            self._release_records(stream.deliver(run_index, record),
+                                  stats, out)
         return out
 
     # -- pool mode ---------------------------------------------------------------
@@ -792,9 +746,7 @@ class CampaignExecutor:
                             retries=attempts.get(run_index, 0),
                         )
                         self._release_records(
-                            stream.deliver(run_index, record,
-                                           ("truncated", True)),
-                            model, point, stats, out)
+                            stream.deliver(run_index, record), stats, out)
                         workers[index] = self._spawn(ctx, model, point)
                 # Count permanently failed runs (exhausted retries).
                 failed = sum(
@@ -850,9 +802,7 @@ class CampaignExecutor:
                         retries=attempts.get(run_index, 0),
                     )
                     self._release_records(
-                        stream.deliver(run_index, record,
-                                       ("truncated", True)),
-                        model, point, stats, out)
+                        stream.deliver(run_index, record), stats, out)
                 else:
                     permanent = self._record_harness_failure(
                         model, point, run_index, stats, attempts,
@@ -861,7 +811,7 @@ class CampaignExecutor:
                     )
                     if permanent:
                         self._release_records(stream.abandon(run_index),
-                                              model, point, stats, out)
+                                              stats, out)
                 worker.kill()
                 return True
             kind = message.get("type")
@@ -876,7 +826,7 @@ class CampaignExecutor:
                 )
                 if permanent:
                     self._release_records(stream.abandon(run_index),
-                                          model, point, stats, out)
+                                          stats, out)
                 worker.finish_task()
                 return True  # recycle the worker after a harness error
             if kind == "result":
@@ -897,10 +847,8 @@ class CampaignExecutor:
                     wall_ms=message["wall_ms"],
                     retries=attempts.get(run_index, 0),
                 )
-                self._release_records(
-                    stream.deliver(run_index, record,
-                                   ("flight", message.get("flight"))),
-                    model, point, stats, out)
+                self._release_records(stream.deliver(run_index, record),
+                                      stats, out)
                 worker.finish_task()
                 return False
 

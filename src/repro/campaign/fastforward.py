@@ -44,9 +44,8 @@ remains the reference semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fpu.formats import FpOp
 from repro.uarch.snapshot import (
     PageCorruption,
     PageStore,
@@ -120,7 +119,7 @@ class Boundary:
     """
 
     index: int
-    counters: Dict[FpOp, int]
+    counts: Tuple[int, ...]  # per-op counts, dense in FpOp order
     ops_executed: int
     digest: str
     more: bool
@@ -171,12 +170,12 @@ class SnapshotStore:
     def _record_boundary(self, ctx: FPContext, state: Dict[str, object],
                          more: bool) -> None:
         index = len(self.boundaries)
-        counters, ops_executed = ctx.checkpoint_position()
+        counts, ops_executed = ctx.checkpoint_position()
         image = (encode_state(self.pages, state)
                  if self._snapshot_here(index) else None)
         boundary = Boundary(
             index=index,
-            counters=counters,
+            counts=counts,
             ops_executed=ops_executed,
             digest=state_digest(state),
             more=more,
@@ -228,31 +227,31 @@ class SnapshotStore:
         return output
 
     # -- injection-run service -----------------------------------------------------
-    def select(self,
-               corruption: Dict[FpOp, Dict[int, int]]) -> Optional[Boundary]:
+    def select(self, first_victims: Sequence[Tuple[int, int]]
+               ) -> Optional[Boundary]:
         """Deepest valid snapshot whose FP position precedes every corruption.
 
-        Quarantined boundaries (failed restore verification) are never
-        selected.  Returns None when no usable snapshot remains — the
-        caller then cold-starts from the workload's initial state, which
-        is always available and always valid.
+        ``first_victims`` holds ``(dense op slot, first victim index)``
+        per corrupted op (:attr:`FPContext.first_victims`).  Quarantined
+        boundaries (failed restore verification) are never selected.
+        Returns None when no usable snapshot remains — the caller then
+        cold-starts from the workload's initial state, which is always
+        available and always valid.
         """
-        first_index = {op: min(victims)
-                       for op, victims in corruption.items() if victims}
         best: Optional[Boundary] = None
         for boundary in self.boundaries:
             if (boundary.image is None
                     or boundary.index in self._quarantined):
                 continue
-            if all(boundary.counters.get(op, 0) <= first
-                   for op, first in first_index.items()):
+            counts = boundary.counts
+            if all(counts[slot] <= first for slot, first in first_victims):
                 best = boundary
             else:
                 break  # counters only grow: later boundaries invalid too
         return best
 
     def _materialise(self, workload: Workload,
-                     corruption: Dict[FpOp, Dict[int, int]],
+                     first_victims: Sequence[Tuple[int, int]],
                      info: Optional[dict]) -> tuple:
         """A verified ``(boundary, state)`` pair for one injection run.
 
@@ -266,7 +265,7 @@ class SnapshotStore:
         replay stays bit-identical, just unaccelerated.
         """
         while True:
-            boundary = self.select(corruption)
+            boundary = self.select(first_victims)
             if boundary is None:
                 self.cold_starts += 1
                 if info is not None:
@@ -300,14 +299,14 @@ class SnapshotStore:
 
     @telemetry.timed("campaign.ff.replay")
     def run_injection(self, workload: Workload, ctx: FPContext,
-                      corruption: Dict[FpOp, Dict[int, int]],
                       info: Optional[dict] = None) -> object:
         """Execute one injection run, fast-forwarded.
 
         Restores the deepest valid snapshot into ``ctx``/a fresh state,
         replays the suffix, and takes the early exit when the run
-        provably reconverges to the golden tail.  ``ctx`` must carry
-        ``corruption``: it tells when every victim is behind.  Guest
+        provably reconverges to the golden tail.  ``ctx`` carries the
+        run's corruption: it picks the snapshot and tells when every
+        victim is behind.  Guest
         exceptions (budget timeout, traps, crashes) propagate to the
         caller's classification boundary exactly as under full replay.
 
@@ -318,8 +317,9 @@ class SnapshotStore:
         """
         if not self._built:
             raise RuntimeError("snapshot store used before build()")
-        boundary, state = self._materialise(workload, corruption, info)
-        ctx.restore_position(boundary.counters, boundary.ops_executed)
+        boundary, state = self._materialise(workload, ctx.first_victims,
+                                            info)
+        ctx.restore_position(boundary.counts, boundary.ops_executed)
         if info is not None:
             info["boundary"] = boundary.index
             info["ops_skipped"] = boundary.ops_executed

@@ -12,6 +12,9 @@ contract, and what makes a killed campaign resumable.
 The journal is a JSONL file written one line per event.  Line types:
 
 - ``meta``          — journal version + campaign root seed (first line),
+- ``model``         — once per (workload, model): what a replay needs
+  that run lines lack — the workload's scale, the wall-clock timeout
+  and the model's content digest (see ``repro explain``),
 - ``run``           — one classified injection run (guest outcome),
 - ``harness_error`` — a harness-side failure (exception *outside* the
   guest boundary), kept distinct from guest outcomes and never counted,
@@ -154,7 +157,8 @@ RunKey = Tuple[str, str, str, int]
 class JournalContents:
     """What a journal file verifiably holds (see :func:`read_journal`).
 
-    ``runs`` maps run keys to run-line payloads; ``cells`` and ``stops``
+    ``runs`` maps run keys to run-line payloads; ``models`` maps
+    ``(workload, model)`` to its model-line payload; ``cells`` and ``stops``
     map cell keys to the cell-summary and stop-decision payloads.  The
     last line of a key wins (resume and heal passes re-append), and keys
     keep the order they first appeared in.  ``torn`` and
@@ -162,6 +166,8 @@ class JournalContents:
     """
 
     seed: Optional[int] = None
+    #: ``(workload, model)`` -> the replay spec of its ``model`` line.
+    models: Dict[Tuple[str, str], dict] = field(default_factory=dict)
     runs: Dict[RunKey, dict] = field(default_factory=dict)
     cells: Dict[CellKey, dict] = field(default_factory=dict)
     stops: Dict[CellKey, dict] = field(default_factory=dict)
@@ -223,6 +229,8 @@ def read_journal(path: Union[str, Path]) -> JournalContents:
                     contents.torn += 1
                     continue
                 contents.runs[key] = payload
+            elif kind == "model":
+                contents.models[cell[:2]] = payload
             elif kind == "cell":
                 contents.cells[cell] = payload
             elif kind == "stop":
@@ -261,6 +269,8 @@ class RunJournal:
             "crc_failures": 0,
         }
         self._runs: Dict[CellKey, Dict[int, RunRecord]] = {}
+        #: ``(workload, model)`` -> its journaled ``model`` line.
+        self.models: Dict[Tuple[str, str], dict] = {}
         self._since_fsync = 0
         self._last_fsync = time.monotonic()
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -332,6 +342,17 @@ class RunJournal:
         self._write(payload)
         self._runs.setdefault(record.cell, {})[record.run_index] = record
 
+    def record_model(self, workload: str, model: str, scale: str,
+                     digest: Optional[str],
+                     wall_clock_timeout: Optional[float]) -> None:
+        """Journal what replaying a model's runs needs (see
+        :attr:`models` for the lines already journaled)."""
+        payload = {"type": "model", "workload": workload, "model": model,
+                   "scale": scale, "digest": digest,
+                   "wall_clock_timeout": wall_clock_timeout}
+        self._write(payload)
+        self.models[(workload, model)] = payload
+
     def record_harness_error(self, key: str, attempt: int,
                              error: str) -> None:
         payload = {"type": "harness_error", "key": key,
@@ -373,6 +394,7 @@ class RunJournal:
                 f"journal {self.path} was written for seed "
                 f"{contents.seed}, not {self.seed}")
         self.stats["crc_failures"] = contents.crc_failures
+        self.models = dict(contents.models)
         for payload in contents.runs.values():
             record = RunRecord.from_payload(payload)
             self._runs.setdefault(record.cell, {})[record.run_index] = record

@@ -36,7 +36,7 @@ from repro.campaign.outcomes import Outcome, OutcomeCounts
 from repro.circuit.liberty import OperatingPoint
 from repro.errors.base import ErrorModel, WorkloadProfile
 from repro.uarch.core import CoreParams, OoOCore, PipelineSchedule
-from repro.uarch.injector import MicroArchInjector
+from repro.uarch.injector import InjectionOutcomePlan, MicroArchInjector
 from repro.uarch.masking import MaskingProfile
 from repro.uarch.trace import MIXES, synthesize_trace
 from repro.utils.rng import RngStream
@@ -47,7 +47,6 @@ from repro.workloads.base import (
     Workload,
 )
 from repro import telemetry
-from repro.observe import flight
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.executor import CampaignExecutor, CellStats
@@ -119,17 +118,23 @@ class GoldenRun:
 
 @dataclass
 class RunExecution:
-    """One injection run as seen by the classification boundary."""
+    """One injection run as seen by the classification boundary.
+
+    ``placed`` and ``observed`` are references to what the run already
+    built — the placed victim chain and, for an SDC, the guest output —
+    so a replay can explain the run without recomputing either.  They
+    never cross the worker pipe.
+    """
 
     outcome: Outcome
     injected: bool = True        # False when the plan had no victims
     uarch_masked: int = 0        # victims squashed/dead in the pipeline
     watchdog: bool = False       # the wall-clock watchdog fired
     unexpected: Optional[str] = None  # unlisted guest exception (repr)
-    sdc_magnitude: Optional[float] = None  # rel. output error (SDC only)
-    flight: Optional[dict] = None  # flight-record payload, recorder on
     fastforward: Optional[dict] = None  # restore/replay counters, ff on
     weight: float = 1.0  # HT importance weight of the sampled victim
+    placed: Optional[InjectionOutcomePlan] = None  # victims, when planned
+    observed: object = None  # the guest's output (SDC only)
 
 
 @dataclass
@@ -254,6 +259,32 @@ class CampaignRunner:
         return self._golden
 
     # -- injection phase ---------------------------------------------------------------
+    def run_stream(self, model: ErrorModel, point: OperatingPoint,
+                   run_index: int) -> RngStream:
+        """The RNG stream that drives one run; its name is the run key."""
+        return RngStream(
+            self.seed,
+            run_key(self.workload.name, model.name, point.name, run_index),
+        )
+
+    def place(self, model: ErrorModel, point: OperatingPoint,
+              rng: RngStream,
+              injector: Optional[MicroArchInjector] = None):
+        """Plan and place one run's victims, without executing the guest.
+
+        Returns ``(plan, placed)``; ``placed`` is None when the model
+        planned an error-free run.  Draws from ``rng`` exactly as
+        :meth:`execute_run` does, so re-placing a run reproduces its
+        victim chain.
+        """
+        golden = self.golden()
+        plan = model.plan(golden.profile, point, rng)
+        if not plan.injects:
+            return plan, None
+        if injector is None:
+            injector = MicroArchInjector(golden.schedule, golden.masking)
+        return plan, injector.place(plan, rng)
+
     def execute_run(self, model: ErrorModel, point: OperatingPoint,
                     run_index: int,
                     injector: Optional[MicroArchInjector] = None,
@@ -272,86 +303,47 @@ class CampaignRunner:
         """
         golden = self.golden()
         telemetry.count("campaign.runs")
-        rng = RngStream(
-            self.seed,
-            run_key(self.workload.name, model.name, point.name, run_index),
-        )
+        rng = self.run_stream(model, point, run_index)
         # Narrow the trace context to this run for the duration: the
         # stream name *is* the journal key, so every span closed below
         # (here or transitively in the guest) is stamped with the same
-        # identity the journal and flight records use — the hook that
-        # lets `repro trace query --explain` stitch one causal trace
-        # out of parent and worker span streams.
+        # identity the journal uses — the hook that lets `repro explain
+        # --trace` stitch one causal trace out of parent and worker
+        # span streams.
         base_ctx = telemetry.get_trace_context()
         if base_ctx is not None:
             telemetry.set_trace_context(base_ctx.for_run(rng.name, attempt))
         try:
             with telemetry.span("campaign.run", run=run_index):
                 return self._execute_planned(
-                    model, point, run_index, rng, golden, injector,
+                    model, point, rng, golden, injector,
                     wall_clock_timeout, guest_entry)
         finally:
             if base_ctx is not None:
                 telemetry.set_trace_context(base_ctx)
 
     def _execute_planned(self, model: ErrorModel, point: OperatingPoint,
-                         run_index: int, rng: RngStream,
-                         golden: "GoldenRun",
+                         rng: RngStream, golden: "GoldenRun",
                          injector: Optional[MicroArchInjector],
                          wall_clock_timeout: Optional[float],
                          guest_entry) -> RunExecution:
-        capture = flight.begin_capture(
-            self.workload.name, model.name, point.name, run_index,
-            self.seed, rng.name,
-        )
-        plan = model.plan(golden.profile, point, rng)
-        if not plan.injects:
-            return self._finish(
-                RunExecution(Outcome.MASKED, injected=False), capture)
-        if injector is None:
-            injector = MicroArchInjector(golden.schedule, golden.masking)
-        placed = injector.place(plan, rng)
+        plan, placed = self.place(model, point, rng, injector)
+        if placed is None:
+            return RunExecution(Outcome.MASKED, injected=False)
         corruption = placed.corruption_map()
-        if capture is not None:
-            capture["victims"] = [
-                {"op": p.victim.op.value, "index": p.victim.index,
-                 "bitmask": p.victim.bitmask, "cycle": p.cycle,
-                 "masked": p.uarch_masked, "mask_cause": p.mask_cause}
-                for p in placed.placements
-            ]
-            capture["corruption_size"] = sum(
-                len(per_op) for per_op in corruption.values())
         weight = float(getattr(plan, "weight", 1.0))
         if not corruption:
             # Nothing reached architectural state: trivially masked.
-            return self._finish(
-                RunExecution(Outcome.MASKED,
-                             uarch_masked=placed.masked_count,
-                             weight=weight), capture)
+            return RunExecution(Outcome.MASKED,
+                                uarch_masked=placed.masked_count,
+                                weight=weight, placed=placed)
         if guest_entry is not None:
             guest_entry()
         execution = self.run_guest(corruption, golden=golden,
                                    wall_clock_timeout=wall_clock_timeout)
         execution.uarch_masked = placed.masked_count
         execution.weight = weight
-        return self._finish(execution, capture)
-
-    @staticmethod
-    def _finish(execution: RunExecution,
-                capture: Optional[dict]) -> RunExecution:
-        """Attach the completed flight capture to a run's execution."""
-        if capture is not None:
-            capture["injected"] = execution.injected
-            capture["outcome"] = execution.outcome.value
-            if execution.sdc_magnitude is not None:
-                capture["sdc_magnitude"] = execution.sdc_magnitude
-            if execution.watchdog:
-                capture["watchdog"] = True
-            if execution.unexpected is not None:
-                capture["unexpected"] = execution.unexpected
-            if execution.fastforward is not None:
-                capture["fastforward"] = execution.fastforward
-            execution.flight = capture
+        execution.placed = placed
         return execution
 
     @telemetry.timed("campaign.guest")
@@ -384,7 +376,7 @@ class CampaignRunner:
                     np.errstate(all="ignore"):
                 if snapshots is not None:
                     observed = snapshots.run_injection(
-                        self.workload, ctx, corruption, info=ff_info)
+                        self.workload, ctx, info=ff_info)
                 else:
                     observed = self.workload.run(ctx)
         except GuestTimeout:
@@ -402,13 +394,8 @@ class CampaignRunner:
             )
         if self.workload.outputs_equal(golden.output, observed):
             return RunExecution(Outcome.MASKED, fastforward=ff_info)
-        execution = RunExecution(Outcome.SDC, fastforward=ff_info)
-        if flight.enabled():
-            # Observational only — measured solely when recording, so
-            # recorder-off campaigns pay nothing for it.
-            execution.sdc_magnitude = self.workload.sdc_magnitude(
-                golden.output, observed)
-        return execution
+        return RunExecution(Outcome.SDC, fastforward=ff_info,
+                            observed=observed)
 
     def campaign(self, model: ErrorModel, point: OperatingPoint,
                  runs: Optional[int] = None,

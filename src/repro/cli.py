@@ -6,12 +6,14 @@ Exposes the toolflow of Fig. 2 as commands:
   artifacts for a benchmark,
 - ``campaign``     — application-evaluation phase: run an injection
   campaign from a saved (or freshly built) model, optionally with a
-  live terminal monitor (``--monitor``) and a per-run flight recorder
-  (``--flight``, requires ``--trace``),
-- ``trace``        — query a recorded trace: ``trace query`` filters
-  flight records and prints per-run "why SDC?" drill-downs,
-- ``report``       — render a journal + trace into one self-contained
-  HTML page (``--html``),
+  live terminal monitor (``--monitor``),
+- ``explain``      — replay journaled runs in-process and print per-run
+  "why SDC?" drill-downs; exits 1 when a replay disagrees with the
+  journal,
+- ``trace``        — query a recorded trace: ``trace query`` prints its
+  span summary,
+- ``report``       — render a journal (+ trace) into one self-contained
+  HTML page (``--html``), re-placing the journaled runs for its heatmap,
 - ``serve``        — post-hoc control plane: rebuild the ``/metrics``,
   ``/status`` and ``/trajectory`` HTTP endpoints from a finished
   campaign's journal,
@@ -283,16 +285,21 @@ def _cmd_shard_worker(args) -> int:
     return 0
 
 
+#: Observability flags the sharded path does not wire up yet.
+_UNSHARDED_FLAGS = (("trace", "--trace"), ("telemetry", "--telemetry"),
+                    ("monitor", "--monitor"), ("trajectory", "--trajectory"))
+
+
 def _cmd_campaign(args) -> int:
     from repro import chaos
 
-    if getattr(args, "shards", 0):
+    if args.shards:
+        for attr, flag in _UNSHARDED_FLAGS:
+            if getattr(args, attr):
+                raise SystemExit(
+                    f"error: {flag} is not supported with --shards: "
+                    f"sharded campaigns do not wire it up yet")
         return _cmd_campaign_sharded(args)
-    if args.flight and not args.trace:
-        raise SystemExit(
-            "error: --flight records runs into the telemetry trace; "
-            "pass --trace PATH as well"
-        )
     # A supervising `repro chaos` process ships a fault plan through the
     # environment; outside a chaos run this is a no-op returning None.
     chaos_injector = chaos.install_from_env()
@@ -318,10 +325,6 @@ def _cmd_campaign(args) -> int:
             telemetry.set_trace_context(telemetry.TraceContext(
                 campaign_id=(f"{args.benchmark}-s{args.seed}"
                              f"-p{os.getpid()}")))
-    if args.flight:
-        from repro.observe import flight
-
-        flight.enable(sink, keep_in_memory=False)
     if args.trajectory:
         _check_parent_dir(args.trajectory, "--trajectory")
     state = None
@@ -402,10 +405,6 @@ def _cmd_campaign(args) -> int:
                                          adaptive=adaptive_config)
                        for point in points]
     finally:
-        if args.flight:
-            from repro.observe import flight
-
-            flight.disable()
         if sink is not None:
             telemetry.clear_trace_context()
             sink.close(telemetry.get_collector())
@@ -604,43 +603,59 @@ def _stitched_spans_text(events, run_key: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trace(args) -> int:
-    from repro.observe import flight
+def _cmd_explain(args) -> int:
+    """Replay journaled runs in-process; exit 1 on any disagreement."""
+    from repro.observe import explain
 
-    records = flight.load_records(args.trace)
-    selected = flight.filter_records(
+    try:
+        records, replayer = explain.open_journal(args.journal,
+                                                 args.model_file)
+    except explain.ReplayError as exc:
+        raise SystemExit(f"error: {exc}")
+    selected = explain.filter_records(
         records, workload=args.workload, model=args.model,
         point=args.point, outcome=args.outcome, run_index=args.run,
     )
+    replays = [replayer.replay(record) for record in selected]
     if args.explain or args.run is not None:
-        if not selected:
-            print("(no flight records match)")
+        if not replays:
+            print("(no journaled runs match)")
             return 1
-        from repro.telemetry.sinks import read_trace
+        events = []
+        if args.trace:
+            from repro.telemetry.sinks import read_trace
 
-        events = read_trace(args.trace)
-        for record in selected:
-            print(flight.explain(record))
-            stitched = _stitched_spans_text(events, record.stream)
+            events = read_trace(args.trace)
+        for replay in replays:
+            print(explain.narrative(replay))
+            stitched = _stitched_spans_text(events, replay.record.key)
             if stitched:
                 print()
                 print(stitched)
             print()
-        return 0
-    print(flight.records_table(selected))
-    if args.summary:
-        print()
-        print(flight.summary_tables(selected))
-        from repro.telemetry import span_summary_table
-        from repro.telemetry.sinks import read_trace
+    else:
+        print(explain.runs_table(replays))
+        if args.summary:
+            print()
+            print(explain.summary_tables(replays))
+    mismatched = [replay for replay in replays if replay.mismatches]
+    for replay in mismatched:
+        print(f"replay mismatch: {replay.record.key}: "
+              f"{'; '.join(replay.mismatches)}", file=sys.stderr)
+    print(f"explain: {len(replays)} run(s) replayed, {len(mismatched)} "
+          f"mismatch(es)", file=sys.stderr)
+    return 1 if mismatched else 0
 
-        print()
-        print(span_summary_table(read_trace(args.trace)))
+
+def _cmd_trace(args) -> int:
+    from repro.telemetry import span_summary_table
+    from repro.telemetry.sinks import read_trace
+
+    print(span_summary_table(read_trace(args.trace)))
     return 0
 
 
 def _cmd_report(args) -> int:
-    from repro.observe import flight
     from repro.observe.html_report import (
         load_campaign_results,
         write_report,
@@ -648,7 +663,23 @@ def _cmd_report(args) -> int:
 
     _check_parent_dir(args.html, "--html")
     results = load_campaign_results(args.journal) if args.journal else []
-    records = flight.load_records(args.trace) if args.trace else []
+    runs = []
+    if args.journal:
+        from repro.observe import explain
+
+        try:
+            records, replayer = explain.open_journal(args.journal,
+                                                     args.model_file)
+        except explain.ReplayError as exc:
+            print(f"report: no run heatmap or drill-downs: {exc}",
+                  file=sys.stderr)
+        else:
+            runs = explain.report_runs(replayer, records)
+            for replay in runs:
+                if replay.mismatches:
+                    print(f"report: replay mismatch: {replay.record.key}: "
+                          f"{'; '.join(replay.mismatches)}",
+                          file=sys.stderr)
     snapshot = None
     provenance = []
     if args.trace:
@@ -669,7 +700,7 @@ def _cmd_report(args) -> int:
         from repro.observe import load_trajectory
 
         trajectory_points = load_trajectory(args.trajectory)
-    out = write_report(args.html, results, records, snapshot,
+    out = write_report(args.html, results, runs, snapshot,
                        title=args.title, provenance_lines=provenance,
                        trajectory_points=trajectory_points)
     print(f"wrote {out}")
@@ -760,9 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None,
                    help="write a JSONL telemetry trace to this path "
                         "(implies --telemetry)")
-    p.add_argument("--flight", action="store_true",
-                   help="record one flight record per run into the trace "
-                        "(requires --trace)")
     p.add_argument("--monitor", action="store_true",
                    help="live terminal status: progress, outcome tallies, "
                         "AVM with 95%% CI, worker health, ETA")
@@ -881,26 +909,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign_args", nargs=argparse.REMAINDER,
                    help="arguments forwarded to `repro campaign`")
 
+    p = sub.add_parser(
+        "explain", help="replay journaled runs and explain their outcomes",
+        description="Rebuild a campaign's golden run and model from its "
+                    "journal, re-execute the selected runs in-process and "
+                    "check each against its journal record (exit 1 and "
+                    "name the run on any disagreement).  With --run or "
+                    "--explain, print the full per-run causal chain "
+                    "(victims, placement, masking, outcome).")
+    p.add_argument("journal", help="journal written by campaign --journal")
+    p.add_argument("--model-file",
+                   help="the campaign's saved model artifact (default: "
+                        "rebuild the fresh WA model as campaign does)")
+    p.add_argument("--trace", default=None,
+                   help="telemetry trace of the campaign: append each "
+                        "run's stitched span trail")
+    p.add_argument("--workload", help="filter by benchmark name")
+    p.add_argument("--model", help="filter by error model (DA/IA/WA)")
+    p.add_argument("--point", help="filter by operating point (e.g. VR20)")
+    p.add_argument("--outcome",
+                   help="filter by outcome (Masked/SDC/Crash/Timeout)")
+    p.add_argument("--run", type=int, default=None,
+                   help="drill into one run index (prints the full chain)")
+    p.add_argument("--explain", action="store_true",
+                   help="print the full causal chain of every match")
+    p.add_argument("--summary", action="store_true",
+                   help="append derived tables: outcome tallies, masking "
+                        "stages, per-bit flip histograms")
+
     p = sub.add_parser("trace", help="query a recorded telemetry trace")
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
     q = trace_sub.add_parser(
-        "query", help="filter flight records and drill into runs",
-        description="Filter the flight records of a JSONL trace.  With "
-                    "--run or --explain, print the full per-run causal "
-                    "chain (victims, placement, masking, outcome).")
+        "query", help="summarise a trace's spans",
+        description="Print the span summary (by total time) of a JSONL "
+                    "trace, worker spans stitched in.")
     q.add_argument("trace", help="JSONL trace written by campaign --trace")
-    q.add_argument("--workload", help="filter by benchmark name")
-    q.add_argument("--model", help="filter by error model (DA/IA/WA)")
-    q.add_argument("--point", help="filter by operating point (e.g. VR20)")
-    q.add_argument("--outcome",
-                   help="filter by outcome (Masked/SDC/Crash/Timeout)")
-    q.add_argument("--run", type=int, default=None,
-                   help="drill into one run index (prints the full chain)")
-    q.add_argument("--explain", action="store_true",
-                   help="print the full causal chain of every match")
-    q.add_argument("--summary", action="store_true",
-                   help="append derived tables: outcome tallies, masking "
-                        "stages, per-bit flip histograms")
 
     p = sub.add_parser(
         "report", help="render an HTML campaign report",
@@ -908,9 +951,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "no external assets) from a campaign journal and/or "
                     "telemetry trace.")
     p.add_argument("--journal", default=None,
-                   help="campaign journal to reconstruct results from")
+                   help="campaign journal to reconstruct results and "
+                        "re-place runs from")
     p.add_argument("--trace", default=None,
-                   help="telemetry trace with flight records")
+                   help="telemetry trace (telemetry snapshot and model "
+                        "provenance)")
+    p.add_argument("--model-file", default=None,
+                   help="the campaign's saved model artifact, for "
+                        "re-placing its runs (default: the fresh WA "
+                        "model campaign builds)")
     p.add_argument("--html", required=True,
                    help="output path of the report page")
     p.add_argument("--title", default="Timing-error campaign report")
@@ -966,6 +1015,7 @@ def main(argv=None) -> int:
         "campaign": _cmd_campaign,
         "shard-worker": _cmd_shard_worker,
         "chaos": _cmd_chaos,
+        "explain": _cmd_explain,
         "trace": _cmd_trace,
         "report": _cmd_report,
         "serve": _cmd_serve,

@@ -155,6 +155,19 @@ def dumps_model(model: ErrorModel) -> bytes:
     return _encode(_wrap(kind, _payload(model, kind), model.provenance))
 
 
+def model_digest(model: ErrorModel) -> Optional[str]:
+    """SHA-256 of a model's :func:`dumps_model` bytes.
+
+    A wrapper model (one with a ``base``, e.g. importance sampling)
+    digests its base; a model with no artifact form digests to None.
+    """
+    try:
+        blob = dumps_model(getattr(model, "base", model))
+    except TypeError:
+        return None
+    return hashlib.sha256(blob).hexdigest()
+
+
 def loads_model(blob: bytes, expected_kind: Optional[str] = None):
     """Parse artifact bytes back into a model, verifying the checksum.
 

@@ -6,9 +6,11 @@ plotting or templating dependency.  The page renders
 - the Fig. 9 outcome-distribution stacked bars per campaign cell,
 - the Fig. 10-style AVM-vs-operating-point series (small multiples per
   benchmark, one line per error model),
-- per-instruction-type per-bit injection heatmaps from flight records,
+- per-instruction-type per-bit injection heatmaps of the journaled runs'
+  re-placed victims (:mod:`repro.observe.explain`),
 - executor health (retries, watchdog kills, worker restarts, wall time),
-- flight-record drill-down tables with per-run "why SDC?" narratives,
+- run drill-down tables with per-run "why SDC?" narratives of the
+  replayed SDC runs,
 - the telemetry counter/timing snapshot when one is supplied.
 
 Every chart ships its data twice — marks for the eye, a collapsible data
@@ -26,12 +28,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import CampaignResult
-from repro.observe.records import (
-    FlightRecord,
+from repro.observe.explain import (
+    RunReplay,
     bitflip_histogram,
     masking_summary,
+    narrative,
 )
-from repro.observe.flight import explain
 from repro.observe.state import CellEnded, journal_events
 from repro.observe.trajectory import TrajectoryPoint, points_by_cell
 
@@ -292,8 +294,8 @@ def _section_avm(results: Sequence[CampaignResult]) -> str:
     )
 
 
-def _section_heatmap(records: Sequence[FlightRecord]) -> str:
-    histogram = bitflip_histogram(records)
+def _section_heatmap(runs: Sequence[RunReplay]) -> str:
+    histogram = bitflip_histogram(runs)
     svg = _heatmap_svg(histogram)
     if not svg:
         return ""
@@ -303,7 +305,7 @@ def _section_heatmap(records: Sequence[FlightRecord]) -> str:
         total = sum(row)
         top = max(range(len(row)), key=lambda b: row[b])
         rows.append([op, total, f"bit {top} ({row[top]} flips)"])
-    masking = masking_summary(records)
+    masking = masking_summary(runs)
     mask_rows = [[stage, n] for stage, n in sorted(masking.items())]
     return (
         "<section><h2>Injected bit flips by instruction type</h2>"
@@ -339,35 +341,37 @@ def _section_health(results: Sequence[CampaignResult]) -> str:
     )
 
 
-def _section_flight(records: Sequence[FlightRecord],
-                    drill_down_cap: int = 12) -> str:
-    if not records:
+def _section_runs(runs: Sequence[RunReplay],
+                  drill_down_cap: int = 12) -> str:
+    if not runs:
         return ""
     rows = []
-    for r in records:
+    for r in runs:
+        record = r.record
         rows.append([
-            r.workload, r.point, r.model, r.run_index, r.outcome,
+            record.workload, record.point, record.model, record.run_index,
+            record.outcome,
             "-" if r.sdc_magnitude is None else f"{r.sdc_magnitude:.2e}",
-            len(r.victims), r.uarch_masked, r.corruption_size,
-            f"{r.wall_ms:.1f}",
+            len(r.victims), record.uarch_masked, r.corruption_size,
+            f"{record.wall_ms:.1f}",
         ])
-    interesting = [r for r in records if r.outcome == "SDC"]
+    interesting = [r for r in runs if r.record.outcome == "SDC"]
     interesting.sort(key=lambda r: -(r.sdc_magnitude or 0.0))
     if not interesting:
-        interesting = [r for r in records
-                       if r.outcome in ("Crash", "Timeout")]
+        interesting = [r for r in runs
+                       if r.record.outcome in ("Crash", "Timeout")]
     drills = []
     for r in interesting[:drill_down_cap]:
         drills.append(
-            f'<details><summary>{_esc(r.stream or r.run_index)} — '
-            f'{_esc(r.outcome)}</summary><pre>{_esc(explain(r))}</pre>'
-            f'</details>')
+            f'<details><summary>{_esc(r.record.key)} — '
+            f'{_esc(r.record.outcome)}</summary>'
+            f'<pre>{_esc(narrative(r))}</pre></details>')
     return (
-        f"<section><h2>Flight records ({len(records)} runs)</h2>"
+        f"<section><h2>Run drill-downs ({len(runs)} runs)</h2>"
         + _data_table(["benchmark", "VR", "model", "run", "outcome",
                        "sdc-mag", "victims", "masked", "corruption",
                        "wall ms"], rows,
-                      summary=f"All {len(rows)} flight records")
+                      summary=f"All {len(rows)} journaled runs")
         + ("<h3>Why SDC? Per-run drill-downs</h3>" + "".join(drills)
            if drills else "")
         + "</section>"
@@ -545,26 +549,26 @@ def _section_provenance(lines: Sequence[str]) -> str:
 
 
 def render_html(results: Sequence[CampaignResult],
-                flight_records: Sequence[FlightRecord] = (),
+                runs: Sequence[RunReplay] = (),
                 telemetry_snapshot: Optional[Mapping[str, Any]] = None,
                 title: str = "Timing-error campaign report",
                 provenance_lines: Sequence[str] = (),
                 trajectory_points: Sequence[TrajectoryPoint] = ()) -> str:
     """Render the whole report as one self-contained HTML string."""
     results = list(results)
-    flight_records = list(flight_records)
+    runs = list(runs)
     total_runs = sum(r.counts.total for r in results)
     sub = (f"{len(results)} campaign cell(s), {total_runs} classified "
-           f"runs, {len(flight_records)} flight record(s)")
+           f"runs, {len(runs)} re-placed run(s)")
     sections = [_section_provenance(provenance_lines)]
     if results:
         sections.append(_section_outcomes(results))
         sections.append(_section_avm(results))
     sections.append(_section_trajectory(trajectory_points))
-    sections.append(_section_heatmap(flight_records))
+    sections.append(_section_heatmap(runs))
     if results:
         sections.append(_section_health(results))
-    sections.append(_section_flight(flight_records))
+    sections.append(_section_runs(runs))
     if telemetry_snapshot:
         sections.append(_section_telemetry(telemetry_snapshot))
     if not any(sections):
@@ -582,7 +586,7 @@ def render_html(results: Sequence[CampaignResult],
 
 
 def write_report(path, results: Sequence[CampaignResult],
-                 flight_records: Sequence[FlightRecord] = (),
+                 runs: Sequence[RunReplay] = (),
                  telemetry_snapshot: Optional[Mapping[str, Any]] = None,
                  title: str = "Timing-error campaign report",
                  provenance_lines: Sequence[str] = (),
@@ -590,7 +594,7 @@ def write_report(path, results: Sequence[CampaignResult],
     """Render and write the report; returns the written path."""
     out = Path(path)
     out.write_text(
-        render_html(results, flight_records, telemetry_snapshot,
+        render_html(results, runs, telemetry_snapshot,
                     title=title, provenance_lines=provenance_lines,
                     trajectory_points=trajectory_points),
         encoding="utf-8",

@@ -31,9 +31,8 @@ class JsonlSink:
 
     Beyond spans, the sink accepts arbitrary *framed records* through
     :meth:`emit`: any dict with its own ``type`` discriminator is written
-    as one flushed line.  The flight recorder
-    (:mod:`repro.observe.flight`) uses this to interleave ``flight``
-    records with spans in a single trace file.
+    as one flushed line.  ``repro campaign --trace`` uses this to put the
+    injected model's ``provenance`` record beside the spans.
     """
 
     def __init__(self, path: PathLike,

@@ -18,7 +18,7 @@ from repro.errors.base import Victim
 from repro.uarch.core import PipelineSchedule
 from repro.utils.rng import RngStream
 
-#: Cause labels attached to masked victims (flight records / reports).
+#: Cause labels attached to masked victims (explain narratives / reports).
 WRONG_PATH = "wrong-path"
 DEAD_WRITE = "dead-write"
 

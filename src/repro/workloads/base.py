@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,10 +121,16 @@ class FPContext:
         self.corrupted_events = 0
         self._armed = False  # a corruption has landed; start trap checks
         self._counts: List[int] = [0] * len(_OPS)
-        self._victims = [self.corruption.get(op) for op in _OPS]
+        # Dense by op slot; ``_OPS.index`` compares by identity, so
+        # building it hashes no FpOp.
+        self._victims: List[Optional[Dict[int, int]]] = [None] * len(_OPS)
+        for op, victims in self.corruption.items():
+            self._victims[_OPS.index(op)] = victims
         # Per-op sorted victim indices, bisected by the fast-path test.
         self._victim_keys = [sorted(v) if v else [] for v in self._victims]
-        # (dense index, last victim index) of each op that has victims.
+        # (dense index, first/last victim index) of each op with victims.
+        self.first_victims = [(index, keys[0]) for index, keys
+                              in enumerate(self._victim_keys) if keys]
         self._last_victims = [(index, keys[-1]) for index, keys
                               in enumerate(self._victim_keys) if keys]
         # Trace buffers keyed by dense index, in first-recorded order.
@@ -132,11 +138,6 @@ class FPContext:
         self._trace_b: Dict[int, List[np.ndarray]] = {}
         self._trace_len: Dict[int, int] = {}
         self.op_sequence: List[Tuple[FpOp, int]] = []  # run-length encoded
-
-    @property
-    def counters(self) -> Dict[FpOp, int]:
-        """Per-op dynamic instruction counts (a fresh dict per read)."""
-        return dict(zip(_OPS, self._counts))
 
     def victims_passed(self) -> bool:
         """Whether every op's counter has moved past its last victim."""
@@ -356,20 +357,20 @@ class FPContext:
         return int(result[0]) if scalar else result.reshape(shaped.shape)
 
     # -- checkpoint position ----------------------------------------------------------
-    def checkpoint_position(self) -> Tuple[Dict[FpOp, int], int]:
-        """The RNG-independent stream position: per-op counters + total.
+    def checkpoint_position(self) -> Tuple[Tuple[int, ...], int]:
+        """The RNG-independent stream position: per-op counts + total.
 
-        This pair fully determines where corruption indices land and when
-        the op budget expires, so restoring it (plus the workload state)
+        The counts are dense, one per ``FpOp`` in declaration order.  This
+        pair fully determines where corruption indices land and when the
+        op budget expires, so restoring it (plus the workload state)
         resumes an execution bit-identically.
         """
-        return ({op: n for op, n in zip(_OPS, self._counts) if n},
-                self.ops_executed)
+        return tuple(self._counts), self.ops_executed
 
-    def restore_position(self, counters: Dict[FpOp, int],
+    def restore_position(self, counts: Sequence[int],
                          ops_executed: int) -> None:
         """Fast-forward this context to a recorded stream position."""
-        self._counts = [int(counters.get(op, 0)) for op in _OPS]
+        self._counts = list(counts)
         self.ops_executed = int(ops_executed)
 
     # -- profile extraction ---------------------------------------------------------
@@ -470,7 +471,7 @@ class Workload(abc.ABC):
     def sdc_magnitude(self, golden, observed) -> Optional[float]:
         """How wrong an SDC output is: relative L2 error vs golden.
 
-        Purely observational (flight-recorder drill-downs); never part of
+        Purely observational (replayed drill-downs); never part of
         classification, which stays with :meth:`outputs_equal`.  Returns
         ``None`` when the outputs don't admit a numeric distance (shape
         mismatch, non-array output, zero-norm golden with equal shapes).

@@ -3,7 +3,8 @@
 The fast-forward engine's contract is *bit-identity*: a campaign run
 through snapshot restore + suffix replay (+ golden-tail early exit) must
 be indistinguishable from the same campaign under full replay — same
-outcomes, same SDC magnitudes, same journals (modulo wall-clock noise),
+outcomes, same SDC magnitudes (measured as ``repro explain`` measures
+them), same journals (modulo wall-clock noise),
 same AVM tables.  This suite proves the contract differentially across
 snapshot intervals {1, 7, 64, inf}, all three error models, both VR
 points, and executor worker counts {1, 4}.
@@ -15,8 +16,9 @@ import pytest
 
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
 from repro.campaign.fastforward import FastForwardConfig
+from repro.campaign.journal import RunRecord
 from repro.campaign.runner import CampaignRunner
-from repro.observe import flight
+from repro.observe.explain import Replayer
 from repro.workloads import make_workload
 
 from tests.conftest import POINTS
@@ -46,15 +48,7 @@ def _make_runner(name, interval="off"):
 
 
 @pytest.fixture(scope="module")
-def recorder():
-    """In-memory flight recording, so SDC magnitudes are computed."""
-    flight.enable(None, keep_in_memory=False)
-    yield
-    flight.disable()
-
-
-@pytest.fixture(scope="module")
-def reference(recorder, wa_models, ia_model, da_model):
+def reference(wa_models, ia_model, da_model):
     """Full-replay signatures: {benchmark: {(model, point, i): sig}}."""
     out = {}
     for name in BENCHMARKS:
@@ -77,15 +71,20 @@ def _signature(execution):
         execution.injected,
         execution.uarch_masked,
         execution.unexpected,
-        None if execution.flight is None
-        else execution.flight.get("sdc_magnitude"),
     )
+
+
+def _magnitude(runner, model, point, run_index):
+    """A run's SDC magnitude through the replay path (None if no SDC)."""
+    record = RunRecord(runner.workload.name, model.name, point.name,
+                       run_index, outcome="")
+    return Replayer(runner, model).replay(record).sdc_magnitude
 
 
 @pytest.mark.parametrize("interval", INTERVALS,
                          ids=lambda i: "inf" if i is None else str(i))
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_outcomes_bit_identical(name, interval, reference, recorder,
+def test_outcomes_bit_identical(name, interval, reference,
                                 wa_models, ia_model, da_model):
     """Fast-forwarded outcomes == full replay, run by run, all models."""
     runner = _make_runner(name, interval=interval)
@@ -109,21 +108,20 @@ def test_outcomes_bit_identical(name, interval, reference, recorder,
 
 @pytest.mark.parametrize("interval", INTERVALS,
                          ids=lambda i: "inf" if i is None else str(i))
-def test_sdc_magnitudes_bit_identical(interval, reference, recorder,
-                                      wa_models):
+def test_sdc_magnitudes_bit_identical(interval, wa_models):
     """SDC relative-error magnitudes match full replay exactly (kmeans
     WA produces genuine SDCs at tiny scale)."""
     name = "kmeans"
+    model = wa_models[name]
+    full = _make_runner(name, interval="off")
     runner = _make_runner(name, interval=interval)
     magnitudes = []
     for point in POINTS:
         for i in range(RUNS):
-            execution = runner.execute_run(wa_models[name], point, i)
-            expected = reference[name][(wa_models[name].name,
-                                        point.name, i)]
-            assert _signature(execution)[4] == expected[4]
-            if expected[4] is not None:
-                magnitudes.append(expected[4])
+            expected = _magnitude(full, model, point, i)
+            assert _magnitude(runner, model, point, i) == expected
+            if expected is not None:
+                magnitudes.append(expected)
     assert magnitudes, "campaign produced no SDCs to compare"
 
 

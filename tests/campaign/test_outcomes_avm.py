@@ -219,12 +219,10 @@ class TestClassificationMutations:
         assert not execution.watchdog  # the FP-op budget fired, not SIGALRM
 
     def test_nan_sdc_magnitude_is_infinite_when_recorded(self):
-        from repro.observe import flight
-
-        flight.enable(None, keep_in_memory=False)
-        try:
-            execution = self._classify("nan")
-        finally:
-            flight.disable()
+        """The replay path measures a NaN-corrupted SDC as infinitely
+        far from golden (``repro explain`` computes it the same way)."""
+        runner = CampaignRunner(_MutantWorkload("nan"), seed=7)
+        execution = runner.run_guest(self.CORRUPTION)
         assert execution.outcome is Outcome.SDC
-        assert execution.sdc_magnitude == float("inf")
+        assert runner.workload.sdc_magnitude(
+            runner.golden().output, execution.observed) == float("inf")

@@ -132,8 +132,8 @@ class TestPrefixConsistency:
             assert state_digest(state) == boundary.digest
             decoded = decode_state(store.pages, boundary.image)
             assert state_digest(decoded) == boundary.digest
-            counters, ops = ctx.checkpoint_position()
-            assert counters == boundary.counters
+            counts, ops = ctx.checkpoint_position()
+            assert counts == boundary.counts
             assert ops == boundary.ops_executed
 
     def test_interval_only_changes_which_boundaries_are_imaged(
@@ -146,9 +146,9 @@ class TestPrefixConsistency:
             stores[interval] = store
         dense = stores[1]
         for store in stores.values():
-            assert [(b.index, b.digest, b.counters, b.more)
+            assert [(b.index, b.digest, b.counts, b.more)
                     for b in store.boundaries] == [
-                (b.index, b.digest, b.counters, b.more)
+                (b.index, b.digest, b.counts, b.more)
                 for b in dense.boundaries]
             assert store.golden_output is not None
             assert workload.outputs_equal(store.golden_output,

@@ -27,11 +27,22 @@ from repro.artifacts import ArtifactStore
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import NOMINAL, VR15, VR20
 from repro.errors import characterize_da, characterize_ia, characterize_wa
+from repro.fpu.formats import FpOp
 from repro.fpu.unit import FPU
 from repro.utils import durable
 from repro.workloads import WORKLOADS, make_workload
 
 POINTS = [VR15, VR20]
+
+
+def op_counts(ctx) -> Dict[FpOp, int]:
+    """Per-op dynamic instruction counts of an FP context.
+
+    Read off the context's dense stream position (one count per
+    ``FpOp``, in declaration order), the only per-op count it exposes.
+    """
+    counts, _ = ctx.checkpoint_position()
+    return dict(zip(FpOp, counts))
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,7 @@ class TestObservabilityIsInert:
         assert main(base + ["--journal", str(plain_journal)]) == 0
         assert main(base + [
             "--journal", str(observed_journal),
-            "--trace", str(tmp_path / "t.jsonl"), "--flight",
+            "--trace", str(tmp_path / "t.jsonl"),
             "--trajectory", str(tmp_path / "traj.jsonl"),
             "--serve", "--metrics-port", "0",
             "--port-file", str(tmp_path / "port.txt"),

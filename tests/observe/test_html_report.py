@@ -9,12 +9,15 @@ from repro.campaign.executor import CellStats
 from repro.campaign.journal import RunJournal, RunRecord
 from repro.campaign.outcomes import Outcome, OutcomeCounts
 from repro.campaign.runner import CampaignResult
+from repro.errors.base import Victim
+from repro.fpu.formats import FpOp
+from repro.observe.explain import RunReplay
 from repro.observe.html_report import (
     load_campaign_results,
     render_html,
     write_report,
 )
-from repro.observe.records import FlightRecord, FlightVictim
+from repro.uarch.injector import InjectionOutcomePlan, PlacedInjection
 
 
 def _result(workload="cg", point="VR20", model="WA",
@@ -33,17 +36,20 @@ def _result(workload="cg", point="VR20", model="WA",
 
 def _records():
     return [
-        FlightRecord(
-            workload="cg", model="WA", point="VR20", run_index=4,
-            stream="cg/WA/VR20/4", seed=7, outcome="SDC",
-            sdc_magnitude=3.2e-5, corruption_size=2, wall_ms=8.0,
-            victims=[FlightVictim("fp.mul.d", 11, 0x8000, cycle=42)],
+        RunReplay(
+            RunRecord(workload="cg", model="WA", point="VR20", run_index=4,
+                      outcome="SDC", wall_ms=8.0), seed=7,
+            placed=InjectionOutcomePlan([PlacedInjection(
+                Victim(FpOp.MUL_D, 11, 0x8000), cycle=42,
+                uarch_masked=False)]),
+            sdc_magnitude=3.2e-5,
         ),
-        FlightRecord(
-            workload="cg", model="WA", point="VR20", run_index=5,
-            stream="cg/WA/VR20/5", seed=7, outcome="Masked",
-            victims=[FlightVictim("fp.add.d", 2, 1 << 63, cycle=7,
-                                  masked=True, mask_cause="wrong-path")],
+        RunReplay(
+            RunRecord(workload="cg", model="WA", point="VR20", run_index=5,
+                      outcome="Masked", uarch_masked=1), seed=7,
+            placed=InjectionOutcomePlan([PlacedInjection(
+                Victim(FpOp.ADD_D, 2, 1 << 63), cycle=7, uarch_masked=True,
+                mask_cause="wrong-path")]),
         ),
     ]
 
@@ -81,7 +87,7 @@ class TestContent:
     def test_sections_present(self, page):
         for heading in ("Outcome distribution", "AVM vs operating point",
                         "bit flips by instruction type", "Executor health",
-                        "Flight records", "Telemetry"):
+                        "Run drill-downs", "Telemetry"):
             assert heading in page
 
     def test_charts_carry_data_tables_and_legends(self, page):

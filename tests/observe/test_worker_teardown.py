@@ -1,11 +1,11 @@
 """Worker-death observability: the parent trace survives killed workers.
 
-A forked worker inherits the parent's open telemetry sinks and the
-flight recorder.  If teardown is wrong, a worker that dies mid-run can
-leave interleaved or torn lines in the parent's trace file, or the run
-simply vanishes from the flight record.  These tests kill a worker
-mid-cell (SIGALRM blocked, so only the parent watchdog can stop it) and
-assert the parent's trace is still well-formed and tells the story.
+A forked worker inherits the parent's open telemetry sinks.  If
+teardown is wrong, a worker that dies mid-run can leave interleaved or
+torn lines in the parent's trace file, or the run simply vanishes from
+the journal.  These tests kill a worker mid-cell (SIGALRM blocked, so
+only the parent watchdog can stop it) and assert the parent's trace is
+still well-formed and the journal tells the story.
 """
 
 import json
@@ -17,12 +17,12 @@ import pytest
 
 from repro import telemetry
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
+from repro.campaign.journal import read_journal
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import CampaignRunner
 from repro.circuit.liberty import VR20
 from repro.errors.base import ErrorModel, InjectionPlan, Victim
 from repro.fpu.formats import FpOp
-from repro.observe import flight
 from repro.telemetry.sinks import JsonlSink, read_trace
 from repro.uarch.masking import MaskingProfile
 from repro.workloads.base import FPContext, Workload
@@ -65,10 +65,8 @@ class _SignalBlockingHangWorkload(Workload):
 
 @pytest.fixture(autouse=True)
 def clean_observability():
-    flight.disable()
     telemetry.disable()
     yield
-    flight.disable()
     telemetry.disable()
 
 
@@ -78,22 +76,20 @@ def no_masking(monkeypatch):
                         lambda self, victim, rng: (False, None))
 
 
-def _kill_one_worker_cell(trace_path):
+def _kill_one_worker_cell(trace_path, journal_path=None):
     """Run one pool cell whose single run hangs until the watchdog kills
-    the worker, with telemetry + flight recording into ``trace_path``."""
+    the worker, with telemetry recording into ``trace_path``."""
     workload = _SignalBlockingHangWorkload(scale="tiny", seed=5)
     runner = CampaignRunner(workload, seed=7)
     collector = telemetry.enable()
     sink = JsonlSink(trace_path)
     collector.add_sink(sink)
-    flight.enable(sink, keep_in_memory=True)
     try:
         config = ExecutorConfig(workers=1, wall_clock_timeout=0.2,
-                                kill_grace=0.3)
+                                kill_grace=0.3, journal_path=journal_path)
         with CampaignExecutor(runner, config=config) as executor:
             result = executor.run_cell(_AddModel(), VR20, runs=1)
     finally:
-        flight.disable()
         sink.close(collector)
         telemetry.disable()
     return result
@@ -117,18 +113,16 @@ class TestKilledWorkerTrace:
         events = read_trace(trace)
         assert events[0]["type"] == "meta"
 
-    def test_killed_run_leaves_truncated_flight_record(self, no_masking,
-                                                       tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        _kill_one_worker_cell(trace)
+    def test_killed_run_is_journaled_as_watchdog_timeout(self, no_masking,
+                                                          tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        _kill_one_worker_cell(tmp_path / "trace.jsonl", journal)
 
-        (record,) = flight.load_records(trace)
-        assert record.truncated
-        assert record.watchdog
-        assert record.outcome == "Timeout"
-        assert record.workload == "block_hang"
-        assert record.stream == "block_hang/ADD0/VR20/0"
-        # The worker died before it could capture victims; the parent's
-        # truncated record says so instead of inventing a chain.
-        assert record.victims == []
-        assert "truncated" in flight.explain(record)
+        (record,) = read_journal(journal).runs.values()
+        assert record["watchdog"]
+        assert record["outcome"] == "Timeout"
+        assert (record["workload"], record["model"], record["point"],
+                record["run_index"]) == ("block_hang", "ADD0", "VR20", 0)
+        # The parent classified a run whose worker it had to kill; the
+        # record says so instead of passing for a guest timeout.
+        assert record["unexpected"] == "worker killed by watchdog"

@@ -86,12 +86,6 @@ class TestCommands:
 
 
 class TestObservabilityCli:
-    def test_flight_requires_trace(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "2",
-                  "--vr", "20", "--flight"])
-        assert "--trace" in str(excinfo.value)
-
     def test_trace_missing_parent_dir_is_a_clear_error(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "t.jsonl"
         with pytest.raises(SystemExit) as excinfo:
@@ -120,18 +114,18 @@ class TestObservabilityCli:
         html = tmp_path / "report.html"
         assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "6",
                      "--vr", "20", "--journal", str(journal),
-                     "--trace", str(trace), "--flight", "--monitor"]) == 0
+                     "--trace", str(trace), "--monitor"]) == 0
         capsys.readouterr()
 
-        assert main(["trace", "query", str(trace), "--summary"]) == 0
+        assert main(["explain", str(journal), "--summary"]) == 0
         out = capsys.readouterr().out
         assert "kmeans" in out and "VR20" in out
         assert "outcome" in out
         assert "injected into" in out    # --summary histogram rendered
 
         # A filter that matches nothing exits non-zero and says so.
-        assert main(["trace", "query", str(trace), "--run", "9999"]) == 1
-        assert "no flight records match" in capsys.readouterr().out
+        assert main(["explain", str(journal), "--run", "9999"]) == 1
+        assert "no journaled runs match" in capsys.readouterr().out
 
         assert main(["report", "--journal", str(journal),
                      "--trace", str(trace), "--html", str(html)]) == 0
@@ -229,9 +223,9 @@ class TestControlPlaneCli:
     def test_trace_summary_appends_span_table(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
-                     "--vr", "20", "--trace", str(trace), "--flight"]) == 0
+                     "--vr", "20", "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["trace", "query", str(trace), "--summary"]) == 0
+        assert main(["trace", "query", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "span summary (by total time)" in out
         assert "campaign.run" in out
@@ -246,11 +240,13 @@ class TestControlPlaneCli:
 
     def test_trace_explain_includes_stitched_spans(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
+        journal = tmp_path / "journal.jsonl"
         assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
-                     "--vr", "20", "--trace", str(trace), "--flight"]) == 0
+                     "--vr", "20", "--trace", str(trace), "--journal",
+                     str(journal)]) == 0
         capsys.readouterr()
-        assert main(["trace", "query", str(trace), "--run", "1",
-                     "--explain"]) == 0
+        assert main(["explain", str(journal), "--run", "1", "--explain",
+                     "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "spans (kmeans/" in out
         assert "duration ms" in out
@@ -272,6 +268,30 @@ class TestShardedCampaignCLI:
         with pytest.raises(SystemExit, match="--store"):
             main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
                   "--shards", "2"])
+
+    def test_shards_reject_trace(self, tmp_path):
+        with pytest.raises(SystemExit, match="--trace"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--shards", "1", "--store", str(tmp_path / "s"),
+                  "--trace", str(tmp_path / "t.jsonl")])
+
+    def test_shards_reject_telemetry(self, tmp_path):
+        with pytest.raises(SystemExit, match="--telemetry"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--shards", "1", "--store", str(tmp_path / "s"),
+                  "--telemetry"])
+
+    def test_shards_reject_monitor(self, tmp_path):
+        with pytest.raises(SystemExit, match="--monitor"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--shards", "1", "--store", str(tmp_path / "s"),
+                  "--monitor"])
+
+    def test_shards_reject_trajectory(self, tmp_path):
+        with pytest.raises(SystemExit, match="--trajectory"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--shards", "1", "--store", str(tmp_path / "s"),
+                  "--trajectory", str(tmp_path / "p.jsonl")])
 
     def test_sharded_campaign_round_trip(self, tmp_path, capsys):
         """`--shards 2` end to end: drain inline, merge, summarize —

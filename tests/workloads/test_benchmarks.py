@@ -8,6 +8,8 @@ from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.base import FPContext, GuestCrash
 from repro.workloads.mg import _shift
 
+from tests.conftest import op_counts
+
 ALL_NAMES = sorted(WORKLOADS)
 
 
@@ -77,7 +79,7 @@ class TestCorruptionSensitivity:
         golden_ctx = wl.make_context()
         golden = wl.run(golden_ctx)
         main_op = FpOp.MUL_D
-        mul_count = golden_ctx.counters[main_op]
+        mul_count = op_counts(golden_ctx)[main_op]
         mask = 1 << 63
         outcomes = []
         for fraction in (0.35, 0.6, 0.9):
@@ -143,7 +145,7 @@ class TestBenchmarkSpecifics:
         # outside the bucket table (the benchmark's Crash mechanism).
         ctx = wl.make_context()
         wl.run(ctx)
-        mul_count = ctx.counters[FpOp.MUL_D]
+        mul_count = op_counts(ctx)[FpOp.MUL_D]
         bad = wl.make_context(
             corruption={FpOp.MUL_D: {mul_count - 3: 1 << 63}}
         )

@@ -33,6 +33,8 @@ from repro.workloads.base import (  # noqa: E402
     GuestTimeout,
 )
 
+from tests.conftest import op_counts  # noqa: E402
+
 
 # -- frozen reference implementation -------------------------------------------
 
@@ -243,20 +245,21 @@ class ReferenceFPContext:
         return int(result[0]) if scalar else result.reshape(shaped.shape)
 
     # -- checkpoint position ----------------------------------------------------------
-    def checkpoint_position(self) -> Tuple[Dict[FpOp, int], int]:
-        """The RNG-independent stream position: per-op counters + total.
+    def checkpoint_position(self) -> Tuple[Tuple[int, ...], int]:
+        """The RNG-independent stream position: per-op counts (dense, in
+        FpOp order) + total.
 
         This pair fully determines where corruption indices land and when
         the op budget expires, so restoring it (plus the workload state)
         resumes an execution bit-identically.
         """
-        return ({op: n for op, n in self.counters.items() if n},
+        return (tuple(self.counters[op] for op in FpOp),
                 self.ops_executed)
 
-    def restore_position(self, counters: Dict[FpOp, int],
+    def restore_position(self, counts: Tuple[int, ...],
                          ops_executed: int) -> None:
         """Fast-forward this context to a recorded stream position."""
-        self.counters = {op: int(counters.get(op, 0)) for op in FpOp}
+        self.counters = dict(zip(FpOp, counts))
         self.ops_executed = int(ops_executed)
 
     # -- profile extraction ---------------------------------------------------------
@@ -312,7 +315,8 @@ def _assert_same(got, want) -> None:
 
 
 def _state(ctx) -> tuple:
-    return (list(ctx.counters.items()), ctx.ops_executed, list(ctx.op_sequence),
+    return (list(op_counts(ctx).items()), ctx.ops_executed,
+            list(ctx.op_sequence),
             ctx.corrupted_events, ctx._armed, ctx.checkpoint_position())
 
 
