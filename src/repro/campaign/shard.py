@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.artifacts import ArtifactStore, encode_key
+from repro.campaign.adaptive import AdaptiveConfig, ImportanceModel
 from repro.campaign.executor import CampaignExecutor, ExecutorConfig
 from repro.campaign.fastforward import FastForwardConfig
 from repro.campaign.journal import RunJournal, _payload_crc, read_journal
@@ -213,13 +214,51 @@ class CampaignSpec:
         return {"name": point.name, "voltage": point.voltage,
                 "temperature_c": point.temperature_c}
 
+    # -- what the cells run on ---------------------------------------------------
+    # The one place a spec becomes live objects: `repro campaign` and
+    # every shard worker build their runner, models and configs here, so
+    # journal keys, weights and outcomes cannot drift between them.
+    @staticmethod
+    def item_point(item: dict) -> OperatingPoint:
+        point = item["point"]
+        return OperatingPoint(name=point["name"], voltage=point["voltage"],
+                              temperature_c=point.get("temperature_c",
+                                                      25.0))
 
-def stage_model(store: ArtifactStore, campaign_id: str, model) -> str:
+    def adaptive_config(self) -> Optional[AdaptiveConfig]:
+        """The cells' adaptive config, or None for fixed-N cells."""
+        return None if self.adaptive is None else AdaptiveConfig(
+            **self.adaptive)
+
+    def make_runner(self) -> CampaignRunner:
+        return CampaignRunner(
+            make_workload(self.benchmark, scale=self.scale, seed=self.seed),
+            seed=self.seed,
+            fastforward=FastForwardConfig.from_dict(self.fastforward))
+
+    def cell_model(self, model):
+        """The model a cell injects: importance sampling wraps the
+        characterised model wherever the cell runs."""
+        if self.adaptive is not None and self.adaptive.get("importance"):
+            return ImportanceModel(model)
+        return model
+
+    def executor_config(self, journal_path: Optional[str],
+                        resume: bool) -> ExecutorConfig:
+        return ExecutorConfig(
+            workers=int(self.executor.get("workers", 0)),
+            wall_clock_timeout=self.executor.get("wall_clock_timeout"),
+            journal_path=journal_path,
+            resume=resume,
+            fsync=self.executor.get("fsync", "group"),
+        )
+
+
+def stage_model(store: ArtifactStore, campaign_id: str, model) -> None:
     """Freeze a characterised model into the store for shard workers."""
     key = f"{campaign_id}/{model.name}"
     store.put(NS_MODELS, key, model_store.dumps_model(model),
               target="store")
-    return key
 
 
 def load_staged_model(store: ArtifactStore, campaign_id: str, name: str):
@@ -281,17 +320,14 @@ class WorkQueue:
             durable.sweep_orphan_tmps(directory)
 
     # -- population --------------------------------------------------------------
-    def populate(self, items: Iterable[dict]) -> int:
+    def populate(self, items: Iterable[dict]) -> None:
         """Write item files, skipping ones that already exist (resume)."""
-        created = 0
         for item in items:
             path = self.items_dir / f"{encode_key(item['id'])}.json"
             if path.exists():
                 continue
             durable.atomic_write_bytes(
                 path, json.dumps(item, sort_keys=True).encode())
-            created += 1
-        return created
 
     def items(self) -> List[dict]:
         out = []
@@ -445,15 +481,21 @@ class WorkQueue:
 # ---------------------------------------------------------------------------
 
 class _HeartbeatMonitor:
-    """Executor monitor shim: every committed run renews the lease."""
+    """Executor monitor shim: every committed run renews the lease, and
+    every event also reaches ``forward`` (an in-process caller's campaign
+    state), which the executor must not close."""
 
-    def __init__(self, queue: WorkQueue, item_id: str, worker_id: str):
+    def __init__(self, queue: WorkQueue, item_id: str, worker_id: str,
+                 forward=None):
         self.queue = queue
         self.item_id = item_id
         self.worker_id = worker_id
+        self.forward = forward
         self.runs = 0
 
     def apply(self, event) -> None:
+        if self.forward is not None:
+            self.forward.apply(event)
         if isinstance(event, RunClassified):
             self.runs += 1
             self.queue.heartbeat(self.item_id, self.worker_id,
@@ -475,29 +517,26 @@ def run_worker(store: Union[ArtifactStore, PathLike], campaign_id: str,
                worker_id: Optional[str] = None,
                shard: Optional[int] = None, steal: bool = True,
                wait: bool = True, poll_interval: float = 0.1,
-               max_items: Optional[int] = None) -> dict:
+               runner: Optional[CampaignRunner] = None,
+               monitor=None) -> dict:
     """Drain campaign work items through a local executor.
 
     The worker loop: claim → execute the cell through
     :class:`CampaignExecutor` (journal resumed from any prior attempt)
     → mark done.  With ``wait=True`` the worker lingers while other
     workers hold live leases, stealing anything that goes stale — the
-    self-healing path when a sibling shard dies mid-flight.  Returns a
-    summary of what this worker executed.
+    self-healing path when a sibling shard dies mid-flight.  An
+    in-process caller passes its own ``runner`` (built by
+    :meth:`CampaignSpec.make_runner`, so the golden run is shared) and a
+    ``monitor`` that receives every executor event.  Returns a summary
+    of what this worker executed.
     """
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore.local(store)
     spec = CampaignSpec.load(store, campaign_id)
     queue = WorkQueue(store, campaign_id)
     worker_id = worker_id or f"worker-{os.getpid()}"
-    fastforward = FastForwardConfig.from_dict(spec.fastforward)
-    adaptive = None
-    if spec.adaptive is not None:
-        from repro.campaign.adaptive import AdaptiveConfig
-
-        adaptive = AdaptiveConfig(**spec.adaptive)
-
-    runner: Optional[CampaignRunner] = None
+    adaptive = spec.adaptive_config()
     models: Dict[str, object] = {}
     summary = {"worker": worker_id, "items": 0, "runs": 0, "stolen": 0}
     while True:
@@ -510,40 +549,20 @@ def run_worker(store: Union[ArtifactStore, PathLike], campaign_id: str,
         if shard is not None and item["shard"] != shard:
             summary["stolen"] += 1
         if runner is None:
-            runner = CampaignRunner(
-                make_workload(spec.benchmark, scale=spec.scale,
-                              seed=spec.seed),
-                seed=spec.seed, fastforward=fastforward)
+            runner = spec.make_runner()
         model = models.get(item["model"])
         if model is None:
-            model = load_staged_model(store, campaign_id, item["model"])
-            if adaptive is not None and adaptive.importance:
-                # Mirror the CLI: importance sampling wraps the staged
-                # model in every worker, so journal keys and weights
-                # match the unsharded run exactly.
-                from repro.campaign.adaptive import ImportanceModel
-
-                model = ImportanceModel(model)
-            models[item["model"]] = model
-        point = OperatingPoint(
-            name=item["point"]["name"],
-            voltage=item["point"]["voltage"],
-            temperature_c=item["point"].get("temperature_c", 25.0))
-        journal_path = store.stream_path(NS_JOURNALS,
-                                         journal_key(campaign_id,
-                                                     item["id"]))
-        config = ExecutorConfig(
-            workers=int(spec.executor.get("workers", 0)),
-            wall_clock_timeout=spec.executor.get("wall_clock_timeout"),
-            journal_path=str(journal_path),
-            resume=True,  # always: re-execution after a steal must heal
-            fsync=spec.executor.get("fsync", "group"),
-        )
-        hb = _HeartbeatMonitor(queue, item["id"], worker_id)
+            model = models[item["model"]] = spec.cell_model(
+                load_staged_model(store, campaign_id, item["model"]))
+        journal_path = store.stream_path(
+            NS_JOURNALS, journal_key(campaign_id, item["id"]))
+        # Always resume: re-execution after a steal must heal.
+        config = spec.executor_config(str(journal_path), resume=True)
+        hb = _HeartbeatMonitor(queue, item["id"], worker_id, monitor)
         with CampaignExecutor(runner, config=config,
                               monitor=hb) as executor:
-            result = executor.run_cell(model, point, runs=spec.runs,
-                                       adaptive=adaptive)
+            result = executor.run_cell(model, spec.item_point(item),
+                                       runs=spec.runs, adaptive=adaptive)
         queue.complete(item["id"], worker_id, summary={
             "runs": result.counts.total,
             "avm": result.avm,
@@ -554,8 +573,6 @@ def run_worker(store: Union[ArtifactStore, PathLike], campaign_id: str,
         })
         summary["items"] += 1
         summary["runs"] += result.counts.total
-        if max_items is not None and summary["items"] >= max_items:
-            break
     return summary
 
 
@@ -563,23 +580,30 @@ def run_worker(store: Union[ArtifactStore, PathLike], campaign_id: str,
 # Journal merge
 # ---------------------------------------------------------------------------
 
+def _without_crc(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k != "crc"}
+
+
 def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
                    seed: int) -> dict:
     """Merge per-shard journals into one canonical campaign journal.
 
     The output is a genuine format-3 journal (meta line, CRC per line)
-    whose canonical form equals the union of its inputs: run records
-    sorted by key, then cell summaries, then stop decisions.  Within a
-    file, later records supersede earlier ones (that is resume/heal
-    appending); *across* files any shared run, cell or stop key is a
-    :class:`MergeConflict` — two shards may never own one cell, so
-    overlap means the queue partition was violated and neither record
-    can be trusted.  Torn or CRC-failing lines are quarantined exactly
-    as journal resume quarantines them; empty inputs merge cleanly.
-    Iteration order over ``paths`` never changes the output bytes.
+    whose canonical form equals the union of its inputs: model lines
+    sorted by key, then run records, then cell summaries, then stop
+    decisions.  Within a file, later records supersede earlier ones
+    (that is resume/heal appending); *across* files any shared run, cell
+    or stop key is a :class:`MergeConflict` — two shards may never own
+    one cell, so overlap means the queue partition was violated and
+    neither record can be trusted.  Every shard that ran a model's cells
+    journals the same ``model`` line, so an identical line merges once
+    and two different lines for one ``(workload, model)`` conflict.
+    Torn or CRC-failing lines are quarantined exactly as journal resume
+    quarantines them; empty inputs merge cleanly.  Iteration order over
+    ``paths`` never changes the output bytes.
     """
-    merged: Dict[str, Dict[tuple, dict]] = {"run": {}, "cell": {},
-                                             "stop": {}}
+    merged: Dict[str, Dict[tuple, dict]] = {"model": {}, "run": {},
+                                             "cell": {}, "stop": {}}
     owners: Dict[Tuple[str, tuple], str] = {}
     report = {"inputs": len(paths), "empty_inputs": 0, "torn_lines": 0,
               "crc_failures": 0, "harness_errors": 0,
@@ -601,6 +625,13 @@ def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
         report["torn_lines"] += contents.torn
         report["crc_failures"] += contents.crc_failures
         report["harness_errors"] += len(contents.harness_errors)
+        for key, payload in contents.models.items():
+            owner = owners.setdefault(("model", key), source)
+            kept = merged["model"].setdefault(key, payload)
+            if _without_crc(kept) != _without_crc(payload):
+                raise MergeConflict(
+                    f"model {'/'.join(key)} is journaled differently in "
+                    f"{owner} and {source}")
         for kind, table in (("run", contents.runs),
                             ("cell", contents.cells),
                             ("stop", contents.stops)):
@@ -613,14 +644,13 @@ def merge_journals(paths: Sequence[PathLike], out_path: PathLike,
                         f"journals must partition the campaign's cells")
                 merged[kind][key] = payload
 
-
     lines = [{"type": "meta", "version": RunJournal.VERSION,
               "seed": int(seed)}]
     for table in merged.values():
         lines += [table[key] for key in sorted(table)]
     encoded = []
     for payload in lines:
-        body = {k: v for k, v in payload.items() if k != "crc"}
+        body = _without_crc(payload)
         body["crc"] = _payload_crc(body)
         encoded.append(json.dumps(body, sort_keys=True,
                                   separators=(",", ":")))
@@ -673,23 +703,22 @@ class ShardCoordinator:
         coordinator.queue.populate(spec.items())
         return coordinator
 
-    @classmethod
-    def resume(cls, store: ArtifactStore,
-               campaign_id: str) -> "ShardCoordinator":
-        return cls(store, CampaignSpec.load(store, campaign_id))
-
     # -- execution ---------------------------------------------------------------
-    def run_inline(self, steal: bool = False) -> List[dict]:
+    def run_inline(self, steal: bool = False,
+                   runner: Optional[CampaignRunner] = None,
+                   monitor=None) -> List[dict]:
         """Drive every shard in this process, one logical worker each.
 
         With ``steal=False`` each worker touches only its own shard's
         items — the strict partition the differential harness compares
-        against subprocess geometries.
+        against subprocess geometries.  ``runner`` and ``monitor`` are
+        shared by every worker (see :func:`run_worker`).
         """
         return [
             run_worker(self.store, self.spec.campaign_id,
                        worker_id=f"inline-{shard}", shard=shard,
-                       steal=steal, wait=False)
+                       steal=steal, wait=False, runner=runner,
+                       monitor=monitor)
             for shard in range(self.spec.shards)
         ]
 
@@ -704,8 +733,7 @@ class ShardCoordinator:
     def run_processes(self, max_restarts: int = 3,
                       poll_interval: float = 0.2,
                       env: Optional[dict] = None,
-                      state=None,
-                      stderr=None) -> dict:
+                      state=None) -> dict:
         """Run one OS-process worker per shard, restarting dead ones.
 
         A worker that exits while undone work remains (crash, SIGKILL,
@@ -719,7 +747,7 @@ class ShardCoordinator:
 
         def _spawn(shard: int) -> None:
             procs[shard] = subprocess.Popen(
-                self.worker_argv(shard), env=env, stderr=stderr)
+                self.worker_argv(shard), env=env)
 
         for shard in range(self.spec.shards):
             _spawn(shard)

@@ -6,10 +6,16 @@ Exposes the toolflow of Fig. 2 as commands:
   artifacts for a benchmark,
 - ``campaign``     — application-evaluation phase: run an injection
   campaign from a saved (or freshly built) model, optionally with a
-  live terminal monitor (``--monitor``),
+  live terminal monitor (``--monitor``).  ``--store DIR`` selects
+  store-backed execution: the cells run as work items of an artifact
+  store, inline or one process per shard (``--shard-procs``, which
+  rejects ``--trace``/``--telemetry``/``--monitor``/``--trajectory``
+  because subprocess workers' spans and events never reach the
+  parent), and their journals merge into one replayable journal,
+- ``shard-worker`` — join a store-backed campaign as one more worker,
 - ``explain``      — replay journaled runs in-process and print per-run
-  "why SDC?" drill-downs; exits 1 when a replay disagrees with the
-  journal,
+  "why SDC?" drill-downs (plain and merged journals alike); exits 1
+  when a replay disagrees with the journal,
 - ``trace``        — query a recorded trace: ``trace query`` prints its
   span summary,
 - ``report``       — render a journal (+ trace) into one self-contained
@@ -31,7 +37,7 @@ import time
 from pathlib import Path
 
 from repro import telemetry
-from repro.campaign.executor import CampaignExecutor, ExecutorConfig
+from repro.campaign.executor import CampaignExecutor
 from repro.campaign.fastforward import DEFAULT_INTERVAL, FastForwardConfig
 from repro.campaign.journal import JournalMismatch
 from repro.campaign.report import executor_stats_table, outcome_table
@@ -113,159 +119,6 @@ def _parse_snapshot_interval(args):
         )
 
 
-def _cmd_campaign_sharded(args) -> int:
-    """`campaign --shards N`: partition cells, run workers, merge.
-
-    The campaign lives in the artifact store at ``--store``: staged
-    models, the durable work queue, per-cell journals, and (after the
-    merge) the archived inputs + canonical merged journal.  Re-running
-    the same command is a resume — done cells stay done, in-flight
-    journals resume, and the merge is idempotent.
-    """
-    from repro import chaos
-    from repro.artifacts import ArtifactStore
-    from repro.campaign.shard import CampaignSpec, ShardCoordinator
-    from repro.observe.html_report import load_campaign_results
-
-    if not args.store:
-        raise SystemExit(
-            "error: --shards needs --store DIR (the artifact store all "
-            "shard workers share)")
-    chaos_injector = chaos.install_from_env()
-    points = _points_for(args.vr)
-    store_root = Path(args.store)
-    artifact_store = ArtifactStore.local(store_root)
-    fastforward = FastForwardConfig(
-        enabled=args.fast_forward,
-        interval=_parse_snapshot_interval(args),
-        # Snapshot pages go through the shared store, so every worker
-        # reuses pages any other worker already built.
-        page_store_dir=str(store_root) if args.fast_forward else None,
-    )
-    campaign_id = args.campaign_id or f"{args.benchmark}-s{args.seed}"
-
-    if args.model_file:
-        model = store.load_any(args.model_file)
-    else:
-        runner = CampaignRunner(
-            make_workload(args.benchmark, scale=args.scale,
-                          seed=args.seed), seed=args.seed)
-        model = characterize_wa(runner.golden().profile, points)
-    adaptive_dict = None
-    if args.adaptive or args.importance:
-        from dataclasses import asdict
-
-        from repro.campaign.adaptive import AdaptiveConfig
-
-        adaptive_dict = asdict(AdaptiveConfig(ci_target=args.ci_target,
-                                              min_runs=args.min_runs,
-                                              importance=args.importance))
-    spec = CampaignSpec(
-        campaign_id=campaign_id,
-        benchmark=args.benchmark,
-        scale=args.scale,
-        seed=args.seed,
-        runs=args.runs,
-        shards=args.shards,
-        points=tuple(CampaignSpec.point_dict(p) for p in points),
-        models=(model.name,),
-        adaptive=adaptive_dict,
-        fastforward=fastforward.to_dict(),
-        executor={"workers": args.workers,
-                  "wall_clock_timeout": args.wall_timeout,
-                  "fsync": args.fsync},
-    )
-    coordinator = ShardCoordinator.create(artifact_store, spec, [model])
-
-    state = None
-    control_plane = None
-    if args.serve:
-        from repro.observe.httpd import ControlPlane
-        from repro.observe.state import (
-            CampaignState,
-            ShardStatus,
-            journal_events,
-        )
-
-        state = CampaignState(
-            args.benchmark, args.seed,
-            cells_total=len(points) * len(spec.models),
-            extra={"scale": args.scale, "runs_per_cell": args.runs,
-                   "shards": args.shards})
-        state.apply(ShardStatus(coordinator.status()))
-        control_plane = ControlPlane(state, port=args.metrics_port)
-        bound = control_plane.start()
-        print(f"control plane: http://127.0.0.1:{bound} "
-              f"(/metrics /status)", file=sys.stderr)
-        if args.port_file:
-            _check_parent_dir(args.port_file, "--port-file")
-            Path(args.port_file).write_text(f"{bound}\n",
-                                            encoding="utf-8")
-
-    try:
-        if args.shard_procs:
-            supervision = coordinator.run_processes(state=state)
-            restarts = sum(supervision["restarts"].values())
-        else:
-            restarts = 0
-            for summary in coordinator.run_inline():
-                print(f"shard worker {summary['worker']}: "
-                      f"{summary['items']} cell(s), "
-                      f"{summary['runs']} run(s)", file=sys.stderr)
-        if state is not None:
-            state.apply(ShardStatus(coordinator.status()))
-
-        if args.journal:
-            _check_parent_dir(args.journal, "--journal")
-            merged_path = Path(args.journal)
-        else:
-            merged_dir = store_root / "merged"
-            merged_dir.mkdir(parents=True, exist_ok=True)
-            merged_path = merged_dir / f"{campaign_id}.jsonl"
-        report = coordinator.merge(merged_path)
-        if state is not None:
-            # The shards' runs reach the parent only through their
-            # journals: the final views are the merged journal's replay.
-            for event in journal_events(merged_path):
-                state.apply(event)
-            state.close()
-    finally:
-        if control_plane is not None:
-            if args.serve_grace > 0:
-                print(f"control plane: serving final state for "
-                      f"{args.serve_grace:g}s more", file=sys.stderr)
-                time.sleep(args.serve_grace)
-            control_plane.close()
-        if chaos_injector is not None:
-            chaos.uninstall()
-
-    results = load_campaign_results(merged_path)
-    print(outcome_table(results))
-    print()
-    status = coordinator.status()
-    print(f"sharded campaign {campaign_id!r}: {spec.shards} shard(s), "
-          f"{status['done']}/{status['items']} cell(s) done, "
-          f"{restarts} worker restart(s)")
-    print(f"merged journal: {merged_path} ({report['runs']} run(s), "
-          f"{report['cells']} cell summary(ies), {report['stops']} "
-          f"stop decision(s); {report['torn_lines']} torn line(s) and "
-          f"{report['crc_failures']} corrupt line(s) dropped)")
-    manifest = report["manifest"]
-    print(f"archived: {len(manifest['shards'])} shard journal(s) + "
-          f"merged at {manifest['merged'][:12]}… in {store_root}")
-    if args.runs and adaptive_dict is not None:
-        budget = args.runs * len(results)
-        executed = sum(r.counts.total for r in results)
-        print(f"adaptive: {executed}/{budget} runs "
-              f"({max(0, budget - executed)} saved)")
-    stats = artifact_store.stats()
-    if stats["corrupt"] or stats["quarantined"]:
-        print(f"artifact store: {stats['corrupt']} corrupt object(s), "
-              f"{stats['quarantined']} quarantined entr(ies) — "
-              f"recomputed transparently")
-    return 0
-
-
 def _cmd_shard_worker(args) -> int:
     """`shard-worker`: one worker process of a sharded campaign."""
     import json as json_mod
@@ -285,142 +138,204 @@ def _cmd_shard_worker(args) -> int:
     return 0
 
 
-#: Observability flags the sharded path does not wire up yet.
-_UNSHARDED_FLAGS = (("trace", "--trace"), ("telemetry", "--telemetry"),
-                    ("monitor", "--monitor"), ("trajectory", "--trajectory"))
-
-
-def _cmd_campaign(args) -> int:
-    from repro import chaos
-
-    if args.shards:
-        for attr, flag in _UNSHARDED_FLAGS:
-            if getattr(args, attr):
+def _check_campaign_flags(args) -> None:
+    """Fail loudly on flags the campaign would otherwise ignore."""
+    if args.shards < 1:
+        raise SystemExit(f"error: --shards {args.shards}: expected a "
+                         f"shard count >= 1")
+    if not args.store:
+        for flag, given in (("--shards", args.shards > 1),
+                            ("--shard-procs", args.shard_procs),
+                            ("--campaign-id", args.campaign_id is not None)):
+            if given:
                 raise SystemExit(
-                    f"error: {flag} is not supported with --shards: "
-                    f"sharded campaigns do not wire it up yet")
-        return _cmd_campaign_sharded(args)
-    # A supervising `repro chaos` process ships a fault plan through the
-    # environment; outside a chaos run this is a no-op returning None.
-    chaos_injector = chaos.install_from_env()
-    if args.trace:
-        args.telemetry = True  # --trace implies telemetry, explicitly
-        _check_parent_dir(args.trace, "--trace")
-    if args.journal:
-        _check_parent_dir(args.journal, "--journal")
-    sink = None
-    if args.telemetry:
-        collector = telemetry.enable()
-        if args.trace:
-            from repro.telemetry import JsonlSink
+                    f"error: {flag} needs --store DIR (the artifact store "
+                    f"that runs the campaign's cells as work items)")
+    if args.shard_procs:
+        for flag, given in (("--trace", args.trace),
+                            ("--telemetry", args.telemetry),
+                            ("--monitor", args.monitor),
+                            ("--trajectory", args.trajectory)):
+            if given:
+                raise SystemExit(
+                    f"error: {flag} is not supported with --shard-procs: "
+                    f"the spans and events of subprocess workers never "
+                    f"reach this process")
 
-            sink = JsonlSink(args.trace, meta={"benchmark": args.benchmark,
-                                               "scale": args.scale,
-                                               "seed": args.seed})
-            collector.add_sink(sink)
-            # Cross-process stitching: spans closed anywhere in this
-            # campaign — including inside forked workers — are stamped
-            # with the campaign/cell/run coordinates and merged back
-            # into this one trace file.
-            telemetry.set_trace_context(telemetry.TraceContext(
-                campaign_id=(f"{args.benchmark}-s{args.seed}"
-                             f"-p{os.getpid()}")))
-    if args.trajectory:
-        _check_parent_dir(args.trajectory, "--trajectory")
-    state = None
-    control_plane = None
-    if args.monitor or args.trajectory or args.serve:
-        from repro.observe import (
-            CampaignMonitor,
-            CampaignState,
-            TrajectoryRecorder,
-        )
 
-        views = []
-        if args.monitor:
-            views.append(CampaignMonitor(total_cells=len(args.vr)))
-        if args.trajectory or args.serve:
-            # Path-less recorders still collect in memory for /trajectory.
-            trajectory = TrajectoryRecorder(path=args.trajectory)
-            views.append(trajectory)
-        state = CampaignState(
-            args.benchmark, args.seed, cells_total=len(args.vr),
-            extra={"scale": args.scale, "runs_per_cell": args.runs,
-                   "workers": args.workers},
-            views=views)
-    if args.serve:
-        from repro.observe.httpd import ControlPlane
+def _start_telemetry(args):
+    """Enable ``--telemetry``; return the ``--trace`` sink, if any."""
+    if not args.telemetry:
+        return None
+    collector = telemetry.enable()
+    if not args.trace:
+        return None
+    from repro.telemetry import JsonlSink
 
-        control_plane = ControlPlane(state, trajectory.points,
-                                     port=args.metrics_port)
-        bound = control_plane.start()
-        print(f"control plane: http://127.0.0.1:{bound} "
-              f"(/metrics /status /trajectory)", file=sys.stderr)
-        if args.port_file:
-            _check_parent_dir(args.port_file, "--port-file")
-            Path(args.port_file).write_text(f"{bound}\n",
-                                            encoding="utf-8")
-    points = _points_for(args.vr)
-    workload = make_workload(args.benchmark, scale=args.scale,
-                             seed=args.seed)
-    fastforward = FastForwardConfig(enabled=args.fast_forward,
-                                    interval=_parse_snapshot_interval(args))
-    runner = CampaignRunner(workload, seed=args.seed,
-                            fastforward=fastforward)
-    try:
-        golden = runner.golden()
-        profile = golden.profile
-        if args.model_file:
-            model = store.load_any(args.model_file)
-        else:
-            model = characterize_wa(profile, points)
-        adaptive_config = None
-        if args.adaptive or args.importance:
-            from repro.campaign.adaptive import AdaptiveConfig
+    sink = JsonlSink(args.trace, meta={"benchmark": args.benchmark,
+                                       "scale": args.scale,
+                                       "seed": args.seed})
+    collector.add_sink(sink)
+    # Cross-process stitching: spans closed anywhere in this campaign —
+    # including inside forked workers — are stamped with the
+    # campaign/cell/run coordinates and merged back into this one trace.
+    telemetry.set_trace_context(telemetry.TraceContext(
+        campaign_id=f"{args.benchmark}-s{args.seed}-p{os.getpid()}"))
+    return sink
 
-            adaptive_config = AdaptiveConfig(ci_target=args.ci_target,
-                                             min_runs=args.min_runs,
-                                             importance=args.importance)
-        if args.importance:
-            from repro.campaign.adaptive import ImportanceModel
 
-            model = ImportanceModel(model)
-        if sink is not None and model.provenance is not None:
-            # Framed record so `repro report` can show where the injected
-            # model came from (benchmark, seed, samples, trace digest).
-            sink.emit({"type": "provenance", "model": model.name,
-                       "line": model.provenance.describe(),
-                       **model.provenance.to_dict()})
-        config = ExecutorConfig(
-            workers=args.workers,
-            wall_clock_timeout=args.wall_timeout,
-            journal_path=args.journal,
-            resume=args.resume,
-            fsync=args.fsync,
-        )
-        with CampaignExecutor(runner, config=config,
-                              monitor=state) as executor:
-            journal = executor.journal
-            results = [executor.run_cell(model, point, runs=args.runs,
-                                         adaptive=adaptive_config)
-                       for point in points]
-    finally:
-        if sink is not None:
-            telemetry.clear_trace_context()
-            sink.close(telemetry.get_collector())
-        if chaos_injector is not None:
-            chaos.uninstall()
+def _start_views(args):
+    """The live campaign state behind --monitor/--trajectory/--serve,
+    and the started control plane (each None when not asked for)."""
+    if not (args.monitor or args.trajectory or args.serve):
+        return None, None
+    from repro.observe import (
+        CampaignMonitor,
+        CampaignState,
+        TrajectoryRecorder,
+    )
+
+    views = []
+    if args.monitor:
+        views.append(CampaignMonitor(total_cells=len(args.vr)))
+    if args.trajectory or args.serve:
+        # Path-less recorders still collect in memory for /trajectory.
+        trajectory = TrajectoryRecorder(path=args.trajectory)
+        views.append(trajectory)
+    extra = {"scale": args.scale, "runs_per_cell": args.runs,
+             "workers": args.workers}
+    if args.store:
+        extra["shards"] = args.shards
+    state = CampaignState(args.benchmark, args.seed,
+                          cells_total=len(args.vr), extra=extra,
+                          views=views)
+    if not args.serve:
+        return state, None
+    return state, _start_control_plane(args, state, trajectory.points)
+
+
+def _start_control_plane(args, state, points, host="127.0.0.1"):
+    """Start the HTTP control plane; report its port on stderr and in
+    ``--port-file``."""
+    from repro.observe.httpd import ControlPlane
+
+    if args.port_file:
+        _check_parent_dir(args.port_file, "--port-file")
+    plane = ControlPlane(state, points, host=host, port=args.metrics_port)
+    bound = plane.start()
+    print(f"control plane: http://{host}:{bound} "
+          f"(/metrics /status /trajectory)", file=sys.stderr)
+    if args.port_file:
+        Path(args.port_file).write_text(f"{bound}\n", encoding="utf-8")
+    return plane
+
+
+def _run_cells_here(args, spec, runner, model, state):
+    """One executor runs every cell in this process, into ``--journal``."""
+    model, adaptive = spec.cell_model(model), spec.adaptive_config()
+    golden = runner.golden()  # built before the first cell's timing
+    config = spec.executor_config(args.journal, resume=args.resume)
+    with CampaignExecutor(runner, config=config,
+                          monitor=state) as executor:
+        results = [executor.run_cell(model, spec.item_point(item),
+                                     runs=spec.runs, adaptive=adaptive)
+                   for item in spec.items()]
+    lines = []
+    if executor.journal is not None:
+        js = executor.journal.stats
+        lines += ["", f"journal: {js['records']} record(s), {js['fsyncs']} "
+                  f"fsync(s) ({args.fsync} policy), {js['write_errors']} "
+                  f"write error(s), {js['crc_failures']} corrupt line(s) "
+                  f"quarantined on load"]
+    if golden.snapshots is not None:
+        stats = golden.snapshots.stats()
+        corrupt = sum(r.stats.ff_corrupt for r in results)
+        cold = sum(r.stats.ff_cold_starts for r in results)
+        lines += ["", (
+            f"fast-forward: {stats['snapshots']} snapshot(s) over "
+            f"{stats['boundaries']} boundaries (interval "
+            f"{stats['interval']}), {stats['stored_bytes']} bytes "
+            f"stored ({stats['dedup_saved_bytes']} deduplicated); "
+            f"{sum(r.stats.ff_restores for r in results)} restore(s), "
+            f"{sum(r.stats.ff_early_exits for r in results)} early "
+            f"exit(s), {sum(r.stats.ff_ops_skipped for r in results)} "
+            f"ops skipped")]
+        if corrupt or cold:
+            lines.append(
+                f"fast-forward recovery: {corrupt} corrupt snapshot(s) "
+                f"quarantined, {cold} cold start(s) from the initial "
+                f"state (outcomes unaffected: recovery replays more, "
+                f"never differently)")
+    return results, executor_stats_table(results), "\n".join(lines)
+
+
+def _run_cells_in_store(args, spec, runner, model, state):
+    """The store's work queue runs the cells, then their journals merge.
+
+    Inline shard workers share this process's runner and feed ``state``
+    live; either way the final state is the merged journal's replay.
+    """
+    from repro.artifacts import ArtifactStore
+    from repro.campaign.shard import ShardCoordinator
+    from repro.observe.html_report import load_campaign_results
+    from repro.observe.state import ShardStatus
+
+    store_root = Path(args.store)
+    artifact_store = ArtifactStore.local(store_root)
+    coordinator = ShardCoordinator.create(artifact_store, spec, [model])
+    if state is not None:
+        state.apply(ShardStatus(coordinator.status()))
+    restarts = 0
+    if args.shard_procs:
+        supervision = coordinator.run_processes(state=state)
+        restarts = sum(supervision["restarts"].values())
+    else:
+        for summary in coordinator.run_inline(runner=runner, monitor=state):
+            print(f"shard worker {summary['worker']}: "
+                  f"{summary['items']} cell(s), "
+                  f"{summary['runs']} run(s)", file=sys.stderr)
+    merged_path = (Path(args.journal) if args.journal else
+                   store_root / "merged" / f"{spec.campaign_id}.jsonl")
+    merged_path.parent.mkdir(parents=True, exist_ok=True)
+    report = coordinator.merge(merged_path)
+    status = coordinator.status()
+    if state is not None:
+        state.apply(ShardStatus(status))
+        state.reload(merged_path)
+        state.close()
+    manifest = report["manifest"]
+    head = "\n".join([
+        f"sharded campaign {spec.campaign_id!r}: {spec.shards} shard(s), "
+        f"{status['done']}/{status['items']} cell(s) done, "
+        f"{restarts} worker restart(s)",
+        f"merged journal: {merged_path} ({report['runs']} run(s), "
+        f"{report['cells']} cell summary(ies), {report['stops']} "
+        f"stop decision(s); {report['torn_lines']} torn line(s) and "
+        f"{report['crc_failures']} corrupt line(s) dropped)",
+        f"archived: {len(manifest['shards'])} shard journal(s) + "
+        f"merged at {manifest['merged'][:12]}… in {store_root}",
+    ])
+    stats, tail = artifact_store.stats(), ""
+    if stats["corrupt"] or stats["quarantined"]:
+        tail = (f"artifact store: {stats['corrupt']} corrupt object(s), "
+                f"{stats['quarantined']} quarantined entr(ies) — "
+                f"recomputed transparently")
+    return load_campaign_results(merged_path), head, tail
+
+
+def _print_campaign_summary(args, spec, runner, results, head, tail,
+                            chaos_injector) -> None:
     print(outcome_table(results))
     print()
-    print(executor_stats_table(results))
-    if adaptive_config is not None:
-        budget = args.runs * len(results)
+    print(head)
+    adaptive = spec.adaptive_config()
+    if adaptive is not None:
+        budget = spec.runs * len(results)
         executed = sum(r.counts.total for r in results)
         print()
         print(f"adaptive: {executed}/{budget} runs "
               f"({max(0, budget - executed)} saved, target "
-              f"±{adaptive_config.ci_target:g} at "
-              f"{adaptive_config.confidence:.0%})")
+              f"±{adaptive.ci_target:g} at {adaptive.confidence:.0%})")
         for result in results:
             stop = result.stop
             if stop is None:
@@ -428,35 +343,11 @@ def _cmd_campaign(args) -> int:
             print(f"  {result.workload}/{result.model}/{result.point}: "
                   f"{stop.rule} at n={stop.n} "
                   f"AVM in [{stop.ci_lo:.3f}, {stop.ci_hi:.3f}]")
-            if args.importance:
+            if adaptive.importance:
                 print(f"    weighted AVM: HT {result.avm_ht:.3f}, "
                       f"self-normalized {result.avm_sn:.3f}")
-    if journal is not None:
-        js = journal.stats
-        print()
-        print(f"journal: {js['records']} record(s), {js['fsyncs']} "
-              f"fsync(s) ({args.fsync} policy), {js['write_errors']} "
-              f"write error(s), {js['crc_failures']} corrupt line(s) "
-              f"quarantined on load")
-    if golden.snapshots is not None:
-        stats = golden.snapshots.stats()
-        restores = sum(r.stats.ff_restores for r in results)
-        exits = sum(r.stats.ff_early_exits for r in results)
-        skipped = sum(r.stats.ff_ops_skipped for r in results)
-        corrupt = sum(r.stats.ff_corrupt for r in results)
-        cold = sum(r.stats.ff_cold_starts for r in results)
-        print()
-        print(f"fast-forward: {stats['snapshots']} snapshot(s) over "
-              f"{stats['boundaries']} boundaries (interval "
-              f"{stats['interval']}), {stats['stored_bytes']} bytes "
-              f"stored ({stats['dedup_saved_bytes']} deduplicated); "
-              f"{restores} restore(s), {exits} early exit(s), "
-              f"{skipped} ops skipped")
-        if corrupt or cold:
-            print(f"fast-forward recovery: {corrupt} corrupt snapshot(s) "
-                  f"quarantined, {cold} cold start(s) from the initial "
-                  f"state (outcomes unaffected: recovery replays more, "
-                  f"never differently)")
+    if tail:
+        print(tail)
     if chaos_injector is not None:
         tallies = ", ".join(f"{name}={count}" for name, count
                             in sorted(chaos_injector.stats.items()))
@@ -464,24 +355,101 @@ def _cmd_campaign(args) -> int:
         print(f"chaos: incarnation {chaos_injector.incarnation}, "
               f"faults {'on' if chaos_injector.faults_active else 'off'}"
               + (f", injected: {tallies}" if tallies else ""))
-    elif args.fast_forward and workload.checkpointable is False:
+    elif args.fast_forward and runner.workload.checkpointable is False:
         print()
-        print(f"fast-forward: {workload.name} is not checkpointable; "
-              f"runs used full replay")
+        print(f"fast-forward: {runner.workload.name} is not "
+              f"checkpointable; runs used full replay")
     if args.telemetry:
         from repro.telemetry import summary_table
 
         print()
         print(summary_table(telemetry.snapshot()))
         telemetry.disable()
-    if control_plane is not None:
-        if args.serve_grace > 0:
+
+
+def _cmd_campaign(args) -> int:
+    """`campaign`: build the campaign's spec, then run its cells here
+    (into ``--journal``) or, with ``--store``, as the store's work items
+    (merged into ``--journal``, default ``<store>/merged/<id>.jsonl``).
+    """
+    from dataclasses import asdict, replace
+
+    from repro import chaos
+    from repro.campaign.adaptive import AdaptiveConfig
+    from repro.campaign.shard import CampaignSpec
+
+    _check_campaign_flags(args)
+    if args.trace:
+        args.telemetry = True  # --trace implies telemetry, explicitly
+    for flag, path in (("--journal", args.journal), ("--trace", args.trace),
+                       ("--trajectory", args.trajectory)):
+        if path:
+            _check_parent_dir(path, flag)
+    points = _points_for(args.vr)
+    adaptive = None
+    if args.adaptive or args.importance:
+        adaptive = asdict(AdaptiveConfig(ci_target=args.ci_target,
+                                         min_runs=args.min_runs,
+                                         importance=args.importance))
+    spec = CampaignSpec(
+        campaign_id=args.campaign_id or f"{args.benchmark}-s{args.seed}",
+        benchmark=args.benchmark, scale=args.scale, seed=args.seed,
+        runs=args.runs, shards=args.shards,
+        points=tuple(CampaignSpec.point_dict(p) for p in points),
+        models=(),  # named once the model is loaded
+        adaptive=adaptive,
+        fastforward=FastForwardConfig(
+            enabled=args.fast_forward,
+            interval=_parse_snapshot_interval(args),
+            # Snapshot pages go through the shared store, so every
+            # worker reuses pages any other worker already built.
+            page_store_dir=(str(Path(args.store))
+                            if args.store and args.fast_forward else None),
+        ).to_dict(),
+        executor={"workers": args.workers,
+                  "wall_clock_timeout": args.wall_timeout,
+                  "fsync": args.fsync},
+    )
+    # A supervising `repro chaos` process ships a fault plan through the
+    # environment; outside a chaos run this is a no-op returning None.
+    chaos_injector = chaos.install_from_env()
+    sink = _start_telemetry(args)
+    state, control_plane = _start_views(args)
+    try:
+        runner = spec.make_runner()
+        try:
+            model = (store.load_any(args.model_file) if args.model_file
+                     else characterize_wa(runner.golden().profile, points))
+            spec = replace(spec, models=(model.name,))
+            injected = spec.cell_model(model)
+            if sink is not None and injected.provenance is not None:
+                # Framed record so `repro report` can show where the
+                # injected model came from (benchmark, seed, samples,
+                # trace digest).
+                sink.emit({"type": "provenance", "model": injected.name,
+                           "line": injected.provenance.describe(),
+                           **injected.provenance.to_dict()})
+            run_cells = (_run_cells_in_store if args.store
+                         else _run_cells_here)
+            results, head, tail = run_cells(args, spec, runner, model,
+                                            state)
+        finally:
+            if sink is not None:
+                telemetry.clear_trace_context()
+                sink.close(telemetry.get_collector())
+            if chaos_injector is not None:
+                chaos.uninstall()
+        _print_campaign_summary(args, spec, runner, results, head, tail,
+                                chaos_injector)
+        if control_plane is not None and args.serve_grace > 0:
             # Keep the endpoints up so a supervisor (CI, a dashboard
             # poller) can scrape the finished campaign's final state.
             print(f"control plane: serving final state for "
                   f"{args.serve_grace:g}s more", file=sys.stderr)
             time.sleep(args.serve_grace)
-        control_plane.close()
+    finally:
+        if control_plane is not None:
+            control_plane.close()
     return 0
 
 
@@ -493,7 +461,6 @@ def _cmd_serve(args) -> int:
     ``/status`` / ``/trajectory`` endpoints as ``repro campaign
     --serve`` — without re-running anything.
     """
-    from repro.observe.httpd import ControlPlane
     from repro.observe.state import CampaignState
 
     state = CampaignState.replay(args.journal,
@@ -508,14 +475,7 @@ def _cmd_serve(args) -> int:
         from repro.observe import load_trajectory
 
         points = load_trajectory(args.trajectory)
-    plane = ControlPlane(state, points, host=args.host,
-                         port=args.metrics_port)
-    bound = plane.start()
-    print(f"control plane: http://{args.host}:{bound} "
-          f"(/metrics /status /trajectory)", file=sys.stderr)
-    if args.port_file:
-        _check_parent_dir(args.port_file, "--port-file")
-        Path(args.port_file).write_text(f"{bound}\n", encoding="utf-8")
+    plane = _start_control_plane(args, state, points, host=args.host)
     deadline = (time.monotonic() + args.duration
                 if args.duration is not None else None)
     try:
@@ -829,23 +789,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snapshot spacing in step boundaries, or 'inf' "
                         "for the initial snapshot only "
                         f"(default {DEFAULT_INTERVAL})")
-    p.add_argument("--shards", type=int, default=0,
+    p.add_argument("--shards", type=int, default=1,
                    help="partition the campaign's cells into this many "
-                        "shards over a shared artifact store (requires "
-                        "--store); the merged journal is bit-identical "
-                        "to an unsharded run's")
+                        "shards (more than 1 requires --store); the "
+                        "merged journal is bit-identical to an "
+                        "unsharded run's")
     p.add_argument("--store", default=None,
-                   help="artifact store directory shared by all shard "
-                        "workers (staged models, work queue, per-cell "
-                        "journals, archived merge)")
+                   help="run the cells as work items of this artifact "
+                        "store (staged models, work queue, per-cell "
+                        "journals, archived merge); without it they run "
+                        "in this process, journaling into --journal")
     p.add_argument("--campaign-id", default=None,
-                   help="name of the sharded campaign in the store "
-                        "(default '<benchmark>-s<seed>'); re-running "
-                        "with the same id resumes it")
+                   help="name of the campaign in --store (default "
+                        "'<benchmark>-s<seed>'); re-running with the same "
+                        "id resumes it")
     p.add_argument("--shard-procs", action="store_true",
-                   help="one OS-process worker per shard (crash-"
-                        "isolated, self-healing via lease stealing) "
-                        "instead of draining shards in-process")
+                   help="with --store: one OS-process worker per shard "
+                        "(crash-isolated, self-healing via lease "
+                        "stealing) instead of draining shards in-process; "
+                        "rejects --trace, --telemetry, --monitor and "
+                        "--trajectory")
 
     p = sub.add_parser(
         "shard-worker",

@@ -171,17 +171,16 @@ def open_journal(path, model_file: Optional[str] = None
                  ) -> Tuple[List[RunRecord], Replayer]:
     """A single-model campaign journal's runs and its rebuilt campaign.
 
-    Raises :class:`ReplayError` for journals that cannot be replayed:
-    no ``model`` line (sharded campaigns' merged journals carry none),
-    several models (``ExperimentContext.run_campaigns``), or a model
-    whose digest differs from the journaled one.
+    Plain and sharded merged journals replay alike.  Raises
+    :class:`ReplayError` for journals that cannot be replayed: no
+    ``model`` line, several models (``ExperimentContext.run_campaigns``),
+    or a model whose digest differs from the journaled one.
     """
     contents = read_journal(path)
     if not contents.models:
         raise ReplayError(
             f"journal {path} records no model line, so its runs cannot "
-            f"be replayed (sharded campaigns' merged journals carry "
-            f"none)")
+            f"be replayed")
     if len(contents.models) > 1:
         names = ", ".join("/".join(key) for key in contents.models)
         raise ReplayError(

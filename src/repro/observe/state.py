@@ -187,6 +187,10 @@ class CampaignState:
             **(extra or {})}
         self._started = now()
         self._finished = False
+        self._shards: Optional[Dict[str, Any]] = None
+        self._clear()
+
+    def _clear(self) -> None:
         self._runs_done = 0
         self._outcomes: Dict[str, int] = {}
         # Only the newest cell is ever mutated, so a snapshot copies
@@ -196,7 +200,6 @@ class CampaignState:
         self._wall_ms = Stat()
         self._stops: Dict[str, int] = {}
         self._runs_saved = 0
-        self._shards: Optional[Dict[str, Any]] = None
 
     def apply(self, event: Any) -> None:
         with self._lock:
@@ -204,6 +207,16 @@ class CampaignState:
             snap = self._snapshot() if self.views else None
         for view in self.views:
             view.update(event, snap)
+
+    def reload(self, journal_path: Union[str, Path]) -> None:
+        """Re-reduce the run tallies from a journal alone, telling no view:
+        a store-backed campaign ends on its merged journal, whose cells may
+        have run elsewhere, and no run seen live here counts twice."""
+        events = list(journal_events(journal_path))
+        with self._lock:
+            self._clear()
+            for event in events:
+                self._reduce(event)
 
     def close(self) -> None:
         with self._lock:

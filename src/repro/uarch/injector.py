@@ -67,22 +67,17 @@ class MicroArchInjector:
         self.schedule = schedule
         self.masking = masking or MaskingProfile.from_schedule(schedule)
 
-    def place(self, plan: InjectionPlan, rng: RngStream,
-              op_offsets: Optional[Dict[FpOp, int]] = None
-              ) -> InjectionOutcomePlan:
+    def place(self, plan: InjectionPlan,
+              rng: RngStream) -> InjectionOutcomePlan:
         """Timestamp and masking-resolve every victim of a plan.
 
-        ``op_offsets`` maps each op to its starting position in the merged
-        FP stream, so per-op victim indices convert to global FP indices
-        for cycle lookup (callers that interleave types heavily can pass
-        exact offsets; the default approximates with zero offsets, which
-        only affects reported cycles, never corruption semantics).
+        A victim's per-op index stands in for its position in the merged
+        FP stream when its cycle is looked up; that approximation only
+        affects reported cycles, never corruption semantics.
         """
         outcome = InjectionOutcomePlan()
-        offsets = op_offsets or {}
         for victim in plan.victims:
-            global_index = victim.index + offsets.get(victim.op, 0)
-            cycle = self.schedule.cycle_of_fp(global_index)
+            cycle = self.schedule.cycle_of_fp(victim.index)
             masked, cause = self.masking.resolve(victim, rng)
             outcome.placements.append(
                 PlacedInjection(victim=victim, cycle=cycle,

@@ -7,6 +7,8 @@ subsystem's failure modes:
 - run/cell/stop keys shared *across* input files mean the queue's
   cell partition was violated — always a :class:`MergeConflict`,
 - duplicate keys *within* one file are resume/heal appends — last wins,
+- a model line every shard of that model journals merges once, and two
+  different model lines for one model are a :class:`MergeConflict`,
 - a torn final record (kill mid-write) is skipped exactly as journal
   resume skips it, and the re-executed record further down supersedes,
 - CRC-disowned lines are dropped and counted, never merged,
@@ -23,6 +25,7 @@ from repro.campaign.journal import (
     RunJournal,
     _payload_crc,
     canonical_journal,
+    read_journal,
 )
 from repro.campaign.shard import MergeConflict, merge_journals
 
@@ -52,6 +55,12 @@ def _stop(model="WA", point="VR15"):
     return {"type": "stop", "workload": "kmeans", "model": model,
             "point": point, "rule": "target", "n": 2, "ci_lo": 0.0,
             "ci_hi": 0.2, "runs_saved": 3}
+
+
+def _model(digest="ab12"):
+    return {"type": "model", "workload": "kmeans", "model": "WA",
+            "scale": "tiny", "digest": digest,
+            "wall_clock_timeout": None}
 
 
 def _encode(payload):
@@ -142,6 +151,24 @@ class TestMergeConflicts:
         [line] = [json.loads(l) for l in out.read_text().splitlines()
                   if '"type":"run"' in l]
         assert line["outcome"] == "SDC"
+
+    def test_identical_model_lines_merge_once(self, tmp_path):
+        a = _write(tmp_path / "a.jsonl", [_model(), _run(0)])
+        b = _write(tmp_path / "b.jsonl",
+                   [_model(), _run(0, point="VR20")])
+        out = tmp_path / "merged.jsonl"
+        merge_journals([a, b], out, seed=SEED)
+        kinds = [json.loads(line)["type"]
+                 for line in out.read_text().splitlines()]
+        assert kinds == ["meta", "model", "run", "run"]
+        assert read_journal(out).models == read_journal(a).models
+
+    def test_different_model_lines_rejected(self, tmp_path):
+        a = _write(tmp_path / "a.jsonl", [_model("ab12"), _run(0)])
+        b = _write(tmp_path / "b.jsonl",
+                   [_model("cd34"), _run(0, point="VR20")])
+        with pytest.raises(MergeConflict, match="model kmeans/WA"):
+            merge_journals([a, b], tmp_path / "out.jsonl", seed=SEED)
 
 
 class TestMergeCorruption:

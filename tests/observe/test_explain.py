@@ -98,6 +98,29 @@ class TestModelLine:
         assert text.count('"type":"model"') == 1
         assert text.count('"type":"run"') == 3
 
+    def test_sharded_merged_journal_replays(self, tmp_path, capsys):
+        """Both shards journal the model line; the merge keeps one, so
+        the merged journal replays like a plain campaign's."""
+        merged = tmp_path / "merged.jsonl"
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs",
+                     "3", "--vr", "15", "20", "--shards", "2",
+                     "--store", str(tmp_path / "s"),
+                     "--journal", str(merged)]) == 0
+        from repro.artifacts import ArtifactStore
+        from repro.campaign.shard import CampaignSpec, ShardCoordinator
+
+        store = ArtifactStore.local(tmp_path / "s")
+        shard_journals = ShardCoordinator(
+            store, CampaignSpec.load(store, "kmeans-s2021")).journal_paths()
+        assert len(shard_journals) == 2
+        assert all(path.read_text().count('"type":"model"') == 1
+                   for path in shard_journals)
+        assert merged.read_text().count('"type":"model"') == 1
+        capsys.readouterr()
+        assert main(["explain", str(merged), "--summary"]) == 0
+        assert ("6 run(s) replayed, 0 mismatch(es)"
+                in capsys.readouterr().err)
+
 
 # -- the explain command ----------------------------------------------------------
 @pytest.fixture(scope="module")

@@ -269,6 +269,7 @@ class TestControlPlane:
         assert status == 200 and "/metrics" in body
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(plane.port, "/bogus")
+        excinfo.value.close()  # the error owns the response's socket
         assert excinfo.value.code == 404
 
     def test_close_releases_port(self, plane):

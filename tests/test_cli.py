@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -269,29 +270,109 @@ class TestShardedCampaignCLI:
             main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
                   "--shards", "2"])
 
-    def test_shards_reject_trace(self, tmp_path):
-        with pytest.raises(SystemExit, match="--trace"):
+    def test_shard_procs_requires_a_store(self):
+        with pytest.raises(SystemExit, match="--shard-procs needs --store"):
             main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
-                  "--shards", "1", "--store", str(tmp_path / "s"),
-                  "--trace", str(tmp_path / "t.jsonl")])
+                  "--shard-procs"])
+
+    def test_campaign_id_requires_a_store(self):
+        with pytest.raises(SystemExit, match="--campaign-id needs --store"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--campaign-id", "x"])
+
+    def test_shards_below_one_are_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="--shards 0"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--shards", "0", "--store", str(tmp_path / "s")])
+
+    # Subprocess workers' spans and events never reach the parent, so
+    # --shard-procs refuses the flags that need them.
+    def test_shards_reject_trace(self, tmp_path):
+        with pytest.raises(SystemExit, match="--trace .*--shard-procs"):
+            main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                  "--shards", "2", "--store", str(tmp_path / "s"),
+                  "--shard-procs", "--trace", str(tmp_path / "t.jsonl")])
 
     def test_shards_reject_telemetry(self, tmp_path):
-        with pytest.raises(SystemExit, match="--telemetry"):
+        with pytest.raises(SystemExit, match="--telemetry .*--shard-procs"):
             main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
-                  "--shards", "1", "--store", str(tmp_path / "s"),
-                  "--telemetry"])
+                  "--shards", "2", "--store", str(tmp_path / "s"),
+                  "--shard-procs", "--telemetry"])
 
     def test_shards_reject_monitor(self, tmp_path):
-        with pytest.raises(SystemExit, match="--monitor"):
+        with pytest.raises(SystemExit, match="--monitor .*--shard-procs"):
             main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
-                  "--shards", "1", "--store", str(tmp_path / "s"),
-                  "--monitor"])
+                  "--shards", "2", "--store", str(tmp_path / "s"),
+                  "--shard-procs", "--monitor"])
 
     def test_shards_reject_trajectory(self, tmp_path):
-        with pytest.raises(SystemExit, match="--trajectory"):
+        with pytest.raises(SystemExit,
+                           match="--trajectory .*--shard-procs"):
             main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
-                  "--shards", "1", "--store", str(tmp_path / "s"),
-                  "--trajectory", str(tmp_path / "p.jsonl")])
+                  "--shards", "2", "--store", str(tmp_path / "s"),
+                  "--shard-procs", "--trajectory",
+                  str(tmp_path / "p.jsonl")])
+
+    def test_inline_shards_trace_records_worker_spans(self, tmp_path,
+                                                      capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                     "--vr", "15", "20", "--shards", "2",
+                     "--store", str(tmp_path / "s"),
+                     "--trace", str(trace)]) == 0
+        assert "telemetry summary" in capsys.readouterr().out
+        assert main(["trace", "query", str(trace)]) == 0
+        summary = capsys.readouterr().out
+        assert "span summary (by total time)" in summary
+        assert re.search(r"campaign\.cell +2 ", summary)
+        assert re.search(r"campaign\.golden +1 ", summary)
+
+    def test_inline_shards_telemetry(self, tmp_path, capsys):
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                     "--vr", "20", "--shards", "2",
+                     "--store", str(tmp_path / "s"), "--telemetry"]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry summary" in out and "campaign.cell" in out
+
+    def test_inline_shards_monitor(self, tmp_path, capsys):
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                     "--vr", "15", "20", "--shards", "2",
+                     "--store", str(tmp_path / "s"), "--monitor"]) == 0
+        err = capsys.readouterr().err
+        assert "kmeans/WA/VR15" in err and "kmeans/WA/VR20" in err
+
+    def test_inline_shards_trajectory(self, tmp_path, capsys):
+        from repro.observe import load_trajectory
+
+        trajectory = tmp_path / "p.jsonl"
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                     "--vr", "15", "20", "--shards", "2",
+                     "--store", str(tmp_path / "s"),
+                     "--trajectory", str(trajectory)]) == 0
+        last = {}
+        for point in load_trajectory(trajectory):
+            last[point.cell] = point.runs_done
+        assert last == {"kmeans/WA/VR15": 4, "kmeans/WA/VR20": 4}
+
+    def test_inline_shards_build_the_golden_run_once(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """The inline shard workers share the runner the model was
+        characterised on (kmeans VR15 and VR20 both hash to shard 1 of
+        3, whose worker would otherwise build a second golden run)."""
+        from repro.campaign.runner import CampaignRunner
+
+        builds = []
+        build = CampaignRunner._golden_uncached
+
+        def counting(runner):
+            builds.append(runner.workload.name)
+            return build(runner)
+
+        monkeypatch.setattr(CampaignRunner, "_golden_uncached", counting)
+        assert main(["campaign", "kmeans", "--scale", "tiny", "--runs", "4",
+                     "--vr", "15", "20", "--shards", "3",
+                     "--store", str(tmp_path / "s")]) == 0
+        assert builds == ["kmeans"]
 
     def test_sharded_campaign_round_trip(self, tmp_path, capsys):
         """`--shards 2` end to end: drain inline, merge, summarize —
@@ -325,14 +406,11 @@ class TestShardedCampaignCLI:
                      "--journal", str(merged)]) == 0
         assert merged.read_bytes() == first
 
-    def test_sharded_serve_final_views_are_the_merged_replay(self, tmp_path,
-                                                            capsys):
-        """The parent's final `/status` and `/metrics` replay the merged
-        journal, as `repro serve` would."""
+    def _serve_final_status(self, tmp_path, extra_args):
+        """Run a served `--shards 2` campaign; return its final
+        `/status`, `/metrics` and merged journal."""
         import threading
         import urllib.request
-
-        from repro.observe.state import CampaignState
 
         merged = tmp_path / "merged.jsonl"
         port_file = tmp_path / "port.txt"
@@ -341,7 +419,7 @@ class TestShardedCampaignCLI:
             "--vr", "15", "20", "--shards", "2",
             "--store", str(tmp_path / "store"), "--journal", str(merged),
             "--serve", "--metrics-port", "0", "--port-file", str(port_file),
-            "--serve-grace", "5"],), daemon=True)
+            "--serve-grace", "5", *extra_args],), daemon=True)
         thread.start()
 
         def get(path):
@@ -360,12 +438,41 @@ class TestShardedCampaignCLI:
         assert status is not None and status["finished"]
         metrics = get("/metrics")
         thread.join(timeout=60)
+        return status, metrics, merged
+
+    def _assert_merged_replay(self, status, metrics, merged):
+        from repro.observe.httpd import status_document
+        from repro.observe.state import CampaignState
+
         replayed = CampaignState.replay(merged).snapshot()
         assert replayed.runs_done == 12
         assert status["runs_done"] == replayed.runs_done
         assert status["outcomes"] == replayed.outcomes
         assert (f"repro_campaign_runs_total {replayed.runs_done}\n"
                 in metrics)
+        served = status_document(replayed)
+        for field in ("cells_done", "avm", "cells", "adaptive"):
+            assert status[field] == served[field], field
+
+    def test_sharded_serve_final_views_are_the_merged_replay(self, tmp_path,
+                                                            capsys):
+        """The parent's final `/status` and `/metrics` replay the merged
+        journal, as `repro serve` would, although inline workers fed the
+        same runs to the live state as they ran."""
+        self._assert_merged_replay(
+            *self._serve_final_status(tmp_path, []))
+
+    def test_shard_procs_serve_final_views_are_the_merged_replay(
+            self, tmp_path, capsys):
+        self._assert_merged_replay(
+            *self._serve_final_status(tmp_path, ["--shard-procs"]))
+
+    def test_served_resume_of_a_finished_campaign(self, tmp_path, capsys):
+        """A re-run executes nothing, yet its views show every run."""
+        self._serve_final_status(tmp_path, [])
+        (tmp_path / "port.txt").unlink()
+        self._assert_merged_replay(
+            *self._serve_final_status(tmp_path, []))
 
     def test_shard_worker_joins_and_reports(self, tmp_path, capsys):
         """`repro shard-worker` drains a campaign created by the

@@ -84,15 +84,6 @@ class TestInjector:
         assert cmap[FpOp.MUL_D][7] == 0b0101
         assert cmap[FpOp.ADD_D][9] == 0b1000
 
-    def test_op_offsets_shift_cycles_only(self, schedule):
-        injector = MicroArchInjector(schedule, MaskingProfile(0.0, 0.0))
-        plan = _plan(Victim(FpOp.MUL_D, 10, 0b1))
-        base = injector.place(plan, RngStream(1, "r"))
-        offset = injector.place(plan, RngStream(1, "r"),
-                                op_offsets={FpOp.MUL_D: 500})
-        assert offset.placements[0].cycle == schedule.cycle_of_fp(510)
-        assert offset.corruption_map() == base.corruption_map()
-
     def test_effective_list(self, schedule):
         injector = MicroArchInjector(schedule, MaskingProfile(0.0, 0.0))
         victims = [Victim(FpOp.MUL_D, i, 1) for i in range(5)]
